@@ -8,12 +8,13 @@
 //    N grows decades (dense table slots, shared payloads - no per-node
 //    heap nodes), which is what unlocks 10^5-10^6-node topologies.
 //
-//  - fanout_scoped / fanout_scoped_rng: the interest-scoped series
-//    (DESIGN.md section 14). A fixed 16 of the N spokes subscribe to
-//    the published type; the rest declare a different interest. The
-//    claim under test: delivery work tracks the subscriber count, not
-//    N - in scoped-rng mode rounds/s stays roughly flat across decades
-//    while the broadcast-shaped cost would fall 10x per decade.
+//  - fanout_scoped_rng: the interest-scoped series (DESIGN.md section
+//    14). A fixed 16 of the N spokes subscribe to the published type;
+//    the rest declare a different interest. The claim under test:
+//    delivery work tracks the subscriber count, not N - rounds/s stays
+//    roughly flat across decades while a broadcast-shaped cost would
+//    fall 10x per decade. (The key keeps its historical name so the CI
+//    comparison against older artifacts still lines up.)
 //
 //  - topology: the real TopologySpec-driven build of the decentralized
 //    mDNS model (Manager + N Users) through the protocol registry,
@@ -27,6 +28,7 @@
 // SDCM_BENCH_SMOKE shrinks the decades to 10^2..10^3 for CI;
 // SDCM_SCALE_FULL=1 extends the fanout series to 10^6 nodes.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -202,12 +204,9 @@ struct ScopedFanoutMeasured {
 };
 
 /// The O(N^2)-hot-path kill measured directly: N spokes, a fixed 16 of
-/// them interested in the published type. In `scoped` mode every round
-/// still walks all N (draw-preserving), but only 16 dispatch; in
-/// `scoped-rng` a round is O(subscribers) outright, so rounds/s should
-/// stay roughly flat across decades of N.
-ScopedFanoutMeasured measure_scoped_fanout(int n, int rounds,
-                                           net::MulticastScope scope) {
+/// them interested in the published type. A round is O(subscribers),
+/// so rounds/s should stay roughly flat across decades of N.
+ScopedFanoutMeasured measure_scoped_fanout(int n, int rounds) {
   constexpr int kSubscribers = 16;
   ScopedFanoutMeasured out;
   out.nodes = static_cast<std::uint64_t>(n);
@@ -217,7 +216,6 @@ ScopedFanoutMeasured measure_scoped_fanout(int n, int rounds,
   sim::Simulator simulator(/*seed=*/1);
   simulator.trace().set_recording(false);
   net::Network network(simulator);
-  network.set_multicast_scope(scope);
 
   const sim::NodeId hub_id = 1;
   network.reserve_nodes(static_cast<sim::NodeId>(n) + 1);
@@ -396,34 +394,23 @@ int main() {
   bench::note("fanout: hub multicast to N MessageSinks (NodeTable + SBO "
               "payload)");
 
+  // Bound total deliveries per decade so the big-N points measure
+  // steady-state rate, not patience.
+  const auto rounds_for = [smoke](int n) {
+    const int budget = smoke ? 200000 : 2000000;
+    return std::clamp(budget / n, 2, 50);
+  };
   std::vector<FanoutMeasured> fanout;
   for (const int n : fanout_decades) {
-    // Bound total deliveries per decade so the big-N points measure
-    // steady-state rate, not patience.
-    const int budget = smoke ? 200000 : 2000000;
-    int rounds = budget / n;
-    if (rounds < 2) rounds = 2;
-    if (rounds > 50) rounds = 50;
-    fanout.push_back(measure_fanout(n, rounds));
+    fanout.push_back(measure_fanout(n, rounds_for(n)));
     print_fanout(fanout.back());
   }
 
-  bench::note("fanout_scoped / fanout_scoped_rng: 16 of N spokes "
-              "subscribe to the published type (DESIGN.md section 14)");
-  std::vector<ScopedFanoutMeasured> fanout_scoped;
+  bench::note("fanout_scoped_rng: 16 of N spokes subscribe to the "
+              "published type (DESIGN.md section 14)");
   std::vector<ScopedFanoutMeasured> fanout_scoped_rng;
   for (const int n : fanout_decades) {
-    // Same per-decade budget discipline as the universal series, but
-    // the budgeted unit is the scoped mode's per-round O(N) draw walk.
-    const int budget = smoke ? 200000 : 2000000;
-    int rounds = budget / n;
-    if (rounds < 2) rounds = 2;
-    if (rounds > 50) rounds = 50;
-    fanout_scoped.push_back(
-        measure_scoped_fanout(n, rounds, net::MulticastScope::kScoped));
-    print_scoped_fanout(fanout_scoped.back());
-    fanout_scoped_rng.push_back(
-        measure_scoped_fanout(n, rounds, net::MulticastScope::kScopedRng));
+    fanout_scoped_rng.push_back(measure_scoped_fanout(n, rounds_for(n)));
     print_scoped_fanout(fanout_scoped_rng.back());
   }
 
@@ -456,16 +443,13 @@ int main() {
     }
   }
 
-  // Interest-scoping correctness under both modes: exactly the
-  // subscribers receive, and every other spoke is accounted as skipped.
+  // Interest-scoping correctness: exactly the subscribers receive, and
+  // every other spoke is accounted as skipped.
   bool scoped_exact = true;
-  for (const std::vector<ScopedFanoutMeasured>* series :
-       {&fanout_scoped, &fanout_scoped_rng}) {
-    for (const auto& m : *series) {
-      if (m.delivered != m.subscribers * m.rounds ||
-          m.skipped != (m.nodes - m.subscribers) * m.rounds) {
-        scoped_exact = false;
-      }
+  for (const auto& m : fanout_scoped_rng) {
+    if (m.delivered != m.subscribers * m.rounds ||
+        m.skipped != (m.nodes - m.subscribers) * m.rounds) {
+      scoped_exact = false;
     }
   }
   bench::check(scoped_exact,
@@ -484,9 +468,6 @@ int main() {
       .field("heap_metric", have_heap);
   json.begin("fanout");
   for (const auto& m : fanout) emit_fanout(json, m);
-  json.end();
-  json.begin("fanout_scoped");
-  for (const auto& m : fanout_scoped) emit_scoped_fanout(json, m);
   json.end();
   json.begin("fanout_scoped_rng");
   for (const auto& m : fanout_scoped_rng) emit_scoped_fanout(json, m);

@@ -40,8 +40,7 @@ Measured measure(const experiment::SweepConfig& base,
   Measured out;
   out.events_per_sec = result.summary.events_per_second();
   out.runs_per_sec = result.summary.runs_per_second();
-  out.messages_dropped =
-      result.summary.kernel.udp_dropped() + result.summary.kernel.tcp_dropped;
+  out.messages_dropped = result.summary.kernel.messages_dropped();
   out.capacity_dropped = result.summary.kernel.capacity_dropped;
   out.capacity_delayed = result.summary.kernel.capacity_delayed;
   out.capacity_queue_peak = result.summary.kernel.capacity_queue_peak;

@@ -29,10 +29,6 @@ struct FuzzPlan {
   /// kStatic = none). Drawn last, so enabling workload fuzzing never
   /// re-rolls the fault-plan fields of an existing (model, seed) case.
   experiment::WorkloadKind workload = experiment::WorkloadKind::kStatic;
-  /// Multicast fan-out mode (DESIGN.md section 14). Drawn after
-  /// workload (same drawn-last discipline) so enabling scope fuzzing
-  /// keeps every pre-existing (model, seed) plan identical.
-  net::MulticastScope multicast_scope = net::MulticastScope::kScoped;
 };
 
 std::string to_string(const FuzzPlan& plan);
@@ -61,16 +57,7 @@ struct FuzzConfig {
   /// keeps every plan kStatic. The converge-shaped fuzz lanes include
   /// churn deliberately: a rejoining node must re-converge too.
   std::vector<experiment::WorkloadKind> workload_choices{};
-  /// Multicast scopes the plan generator draws from; empty (the
-  /// default) keeps every plan on the kScoped default. The --workloads
-  /// lane draws all three so churned subscription tables are exercised
-  /// under the oracle in every fan-out mode.
-  std::vector<net::MulticastScope> scope_choices{};
   int users = 5;
-  /// kLegacyBoolean reproduces the pre-fix apply_failures, for
-  /// regression-testing the overlapping-episode bug.
-  net::FailureApplication failure_application =
-      net::FailureApplication::kRefcounted;
   /// Base oracle settings; require_convergence is managed per-case from
   /// the plan's converge_shape and the flag below.
   OracleConfig oracle;

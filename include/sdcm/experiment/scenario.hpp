@@ -9,7 +9,6 @@
 #include "sdcm/mdns/mdns.hpp"
 #include "sdcm/metrics/update_metrics.hpp"
 #include "sdcm/net/failure_model.hpp"
-#include "sdcm/net/network.hpp"
 #include "sdcm/obs/profiler.hpp"
 #include "sdcm/obs/registry.hpp"
 #include "sdcm/sim/trace.hpp"
@@ -111,12 +110,6 @@ struct ExperimentConfig {
   /// fingerprints are unchanged. Not owned; must outlive the run, and
   /// the caller collects the verdict via oracle->finish().
   check::ConsistencyOracle* oracle = nullptr;
-  /// How the failure plan is applied to interfaces; kRefcounted keeps
-  /// overlapping episodes down until the last one ends (the fixed
-  /// behavior), kLegacyBoolean reproduces the pre-fix plain flips for
-  /// regression tests.
-  net::FailureApplication failure_application =
-      net::FailureApplication::kRefcounted;
   /// Wall-clock profiler (sdcm/obs/profiler.hpp). When set, the run
   /// attaches it to the simulator (per-event attribution needs a
   /// -DSDCM_PROFILE=ON build; phase timers work in every build) and
@@ -130,13 +123,6 @@ struct ExperimentConfig {
   /// untouched, bit-identical to the pre-workload traces). See
   /// sdcm/experiment/workload.hpp and DESIGN.md section 11.
   WorkloadSpec workload{};
-
-  /// Multicast fan-out mode (DESIGN.md section 14). The default kScoped
-  /// keeps traces bit-identical to the historical broadcast loop while
-  /// skipping uninterested dispatch; kScopedRng also skips their RNG
-  /// draws for the full asymptotic win (different, separately pinned
-  /// fingerprints).
-  net::MulticastScope multicast_scope = net::MulticastScope::kScoped;
 
   /// Per-protocol model parameters; edit for ablation experiments
   /// (e.g. frodo.enable_pr1 = false reproduces Figure 7's control).

@@ -286,19 +286,13 @@ struct CampaignHeader {
   std::vector<double> lambdas;
   int runs = 0;
   int users = 0;
-  /// Topology axes beyond the user count; logs predating the typed
-  /// TopologySpec parse as the paper defaults (1 manager, model-default
-  /// registries).
+  /// Topology axes beyond the user count (-1 registries = the model
+  /// default).
   int managers = 1;
   int registries = -1;
   std::uint64_t seed = 0;
-  /// Workload generator the campaign ran under; logs predating the
-  /// workload engine parse as kStatic.
+  /// Workload generator the campaign ran under.
   WorkloadKind workload = WorkloadKind::kStatic;
-  /// Multicast fan-out mode the campaign ran under; logs predating
-  /// interest scoping parse as kScoped, whose record stream is
-  /// bit-identical to the historical broadcast loop's.
-  net::MulticastScope multicast_scope = net::MulticastScope::kScoped;
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
 };
@@ -316,7 +310,9 @@ struct CampaignRun {
 };
 
 /// Parses the first line of a JSONL log. Returns std::nullopt with a
-/// message on `error` when the line is not a campaign header.
+/// message on `error` when the line is not a campaign header of format
+/// version 2 (version 1 logs come from another multicast RNG stream and
+/// are rejected, never merged).
 std::optional<CampaignHeader> parse_jsonl_header(std::string_view line,
                                                  std::string& error);
 

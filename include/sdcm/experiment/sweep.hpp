@@ -75,11 +75,6 @@ struct SweepConfig {
   /// kStatic = the plain paper scenario). Applied alongside `ablation`,
   /// before `customize`.
   WorkloadSpec workload;
-  /// Multicast fan-out mode applied to every run (DESIGN.md section
-  /// 14). Recorded in the campaign header; mixed-scope merges refuse,
-  /// like mixed workloads, because `scoped-rng` runs consume RNG
-  /// differently and are not comparable record-for-record.
-  net::MulticastScope multicast_scope = net::MulticastScope::kScoped;
   /// Escape hatch for knobs outside AblationSpec (lease periods, poll
   /// modes, SRN1 retries, ...). Applied after `ablation`; called
   /// concurrently from worker threads, so capture by value or const ref.

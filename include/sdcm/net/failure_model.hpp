@@ -82,27 +82,14 @@ std::vector<FailureEpisode> plan_failures(std::span<const NodeId> nodes,
                                           const FailurePlanConfig& config,
                                           sim::Random& rng);
 
-/// How apply_failures realizes a plan whose episodes overlap on one node
-/// (possible under kTruncated placement, or in hand-built plans).
-enum class FailureApplication : std::uint8_t {
-  /// Track the nesting depth per node per direction: an interface comes
-  /// back up only when every episode covering it has ended.
-  kRefcounted,
-  /// Plain boolean flips, kept for regression tests: an earlier
-  /// episode's "up" transition re-enables the interface in the middle of
-  /// a later, still-running episode.
-  kLegacyBoolean,
-};
-
 /// Schedules the interface down/up transitions for a plan on the
 /// simulator, with trace records in the kFailure category (the paper's
 /// log excerpts, e.g. "Manager Tx down at 381, up at 1191", correspond to
-/// these records). The trace records mark episode bounds and are
-/// identical in both application modes; only the interface state differs
-/// when episodes overlap.
-void apply_failures(
-    sim::Simulator& simulator, Network& network,
-    std::span<const FailureEpisode> plan,
-    FailureApplication application = FailureApplication::kRefcounted);
+/// these records). Overlapping episodes on one node (possible under
+/// kTruncated placement, or in hand-built plans) nest: the depth is
+/// tracked per node per direction, and an interface comes back up only
+/// when every episode covering it has ended.
+void apply_failures(sim::Simulator& simulator, Network& network,
+                    std::span<const FailureEpisode> plan);
 
 }  // namespace sdcm::net

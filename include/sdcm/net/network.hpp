@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <string_view>
 #include <vector>
 
 #include "sdcm/net/interface.hpp"
@@ -59,27 +58,8 @@ class MessageSink {
   }
 };
 
-/// How Network::multicast resolves its destination set. Determinism is
-/// the axis (DESIGN.md section 14):
-///  - kScoped (default): per-destination delay/loss RNG draws stay in
-///    attach order for *every* node, so golden trace fingerprints stay
-///    bit-identical to the historical broadcast loop; uninterested
-///    destinations skip only the Message copy and dispatch (their drop
-///    accounting still fires, which is what keeps traces identical).
-///  - kScopedRng: draws are skipped for uninterested destinations too -
-///    the full asymptotic win, with its own freshly pinned fingerprints.
-///  - kBroadcast: the legacy loop; every attached node is treated as
-///    interested. Same RNG/trace stream as kScoped.
-enum class MulticastScope : std::uint8_t {
-  kBroadcast,
-  kScoped,
-  kScopedRng,
-};
-
-[[nodiscard]] std::string_view to_string(MulticastScope scope) noexcept;
-/// Parses "broadcast" / "scoped" / "scoped-rng"; nullopt otherwise.
-[[nodiscard]] std::optional<MulticastScope> multicast_scope_from_name(
-    std::string_view name) noexcept;
+/// Kept only for perfbench/driver.cpp, which still selects this mode.
+enum class MulticastScope : std::uint8_t { kScopedRng };
 
 /// Typed attach failure: the id was reserved (0) or already taken.
 /// Derives std::invalid_argument so pre-existing catch sites keep
@@ -161,19 +141,16 @@ class Network {
   /// UDP unicast: fire and forget.
   void send(const Message& msg);
 
-  /// UDP multicast to every *interested* attached node except the
-  /// source (see MulticastScope for the three destination-set modes).
+  /// UDP multicast to every attached node, other than the source, that
+  /// subscribes to msg.type (MessageSink::multicast_interests; universal
+  /// sinks see every type). Only subscribers draw a delay and a loss
+  /// verdict, in attach order (DESIGN.md section 14).
   /// `redundant_copies` models the "redundant 6 times transmission"
   /// UPnP and Jini use for multicast (Table 3); FRODO uses 1.
   void multicast(const Message& msg, int redundant_copies = 1);
 
-  /// Selects the fan-out mode. Must be set before the first multicast
-  /// of a run; switching mid-run would split one run across two RNG
-  /// consumption disciplines.
-  void set_multicast_scope(MulticastScope scope) noexcept { scope_ = scope; }
-  [[nodiscard]] MulticastScope multicast_scope() const noexcept {
-    return scope_;
-  }
+  /// No-op, kept only for perfbench/driver.cpp (see MulticastScope).
+  void set_multicast_scope(MulticastScope) noexcept {}
 
   /// Replaces `id`'s interest set (same semantics as
   /// MessageSink::multicast_interests) and marks it resolved, so the
@@ -265,24 +242,10 @@ class Network {
     /// Index into interest_sets_, or a kInterest* sentinel.
     std::uint32_t interest = kInterestUnresolved;
     /// Position in order_ at attach time; subscriber lists sort by this
-    /// so scoped delivery visits destinations in attach order.
+    /// so multicast visits destinations in attach order.
     std::uint32_t seq = 0;
 
     [[nodiscard]] bool attached() const noexcept { return sink != nullptr; }
-  };
-
-  /// One interned interest set: the sorted unique atom ids plus a
-  /// kMaxAtoms-wide membership bitmap for the O(1) test in the default
-  /// scoped mode's per-destination loop.
-  struct InterestSet {
-    std::vector<MessageType::Id> types;
-    std::vector<std::uint64_t> bits;  // kMaxAtoms / 64 words
-
-    [[nodiscard]] bool test(MessageType::Id id) const noexcept {
-      return (bits[static_cast<std::size_t>(id) >> 6] >>
-              (static_cast<std::size_t>(id) & 63)) &
-             1u;
-    }
   };
 
   /// A subscriber-list entry; lists stay sorted by seq (attach order).
@@ -303,7 +266,11 @@ class Network {
   /// index entries first.
   void apply_interests(NodeId id, Port& p,
                        std::optional<std::vector<MessageType>> types);
-  void drop_index_entries(NodeId id, const Port& p);
+  void drop_index_entries(const Port& p);
+  /// Calls visit(id) for every subscriber of `type`: the universal list
+  /// merged with the per-atom list, in attach order.
+  template <typename Visit>
+  void for_each_subscriber(MessageType type, Visit&& visit) const;
   [[nodiscard]] std::uint32_t intern_interest_set(
       const std::vector<MessageType>& types);
 
@@ -313,12 +280,6 @@ class Network {
   /// lost} so it fits InlineCallback's buffer.
   void deliver_multicast_copy(const std::shared_ptr<const Message>& wire,
                               NodeId dst, bool lost);
-  /// Same, for a destination with no interest in the type (default
-  /// scoped mode): probe + drop accounting only, never a dispatch, and
-  /// the Message stack copy happens only when the probe or a drop
-  /// record actually needs dst stamped.
-  void audit_multicast_copy(const std::shared_ptr<const Message>& wire,
-                            NodeId dst, bool lost);
 
   /// Token-bucket admission for one wire copy leaving `src` now: the
   /// shaping delay to add to the copy's transit delay (0 when a token
@@ -349,10 +310,9 @@ class Network {
   MessageCounters counters_;
 
   // Interest-scoped fan-out state (DESIGN.md section 14).
-  MulticastScope scope_ = MulticastScope::kScoped;
-  /// Interned interest sets; ports with identical declarations share
-  /// one entry (and its 512-byte bitmap).
-  std::vector<InterestSet> interest_sets_;
+  /// Interned interest sets (sorted unique atom ids); ports with
+  /// identical declarations share one entry.
+  std::vector<std::vector<MessageType::Id>> interest_sets_;
   std::map<std::vector<MessageType::Id>, std::uint32_t> interest_index_;
   /// Per-atom subscriber lists, indexed by MessageType::Id, each sorted
   /// by attach seq. Universal sinks live in universal_ instead.

@@ -34,7 +34,6 @@ struct KernelStats {
   //  - udp_deliveries_dropped_rx counts *per-destination deliveries*
   //    lost in flight or at a dead receiver - one increment per
   //    destination that missed the copy.
-  // The legacy aggregate is still available as udp_dropped().
   std::uint64_t udp_sent = 0;
   std::uint64_t udp_copies_dropped_tx = 0;
   std::uint64_t udp_deliveries_dropped_rx = 0;
@@ -43,15 +42,14 @@ struct KernelStats {
 
   /// Multicast deliveries the interest-scoped fan-out never performed
   /// because the destination declared no interest in the message type
-  /// (DESIGN.md section 14). In the default `scoped` mode these skip
-  /// the Message copy and dispatch; in `scoped-rng` mode they skip the
-  /// event entirely.
+  /// (DESIGN.md section 14): no event, no RNG draw, no dispatch.
   std::uint64_t udp_deliveries_skipped = 0;
 
   // Link-capacity model (workload saturation): copies dropped at a full
-  // token-bucket queue (also counted in udp/tcp_dropped), copies that
-  // queued and were delayed, and the deepest queue any source reached.
-  // All zero unless Network::set_link_capacity enabled the model.
+  // token-bucket queue (also counted in udp_copies_dropped_tx or
+  // tcp_dropped), copies that queued and were delayed, and the deepest
+  // queue any source reached. All zero unless Network::set_link_capacity
+  // enabled the model.
   std::uint64_t capacity_dropped = 0;
   std::uint64_t capacity_delayed = 0;
   std::uint64_t capacity_queue_peak = 0;
@@ -59,17 +57,11 @@ struct KernelStats {
   // Trace log records actually appended (recording enabled).
   std::uint64_t trace_records = 0;
 
-  /// Legacy aggregate over both UDP drop units; prefer the split
-  /// fields when comparing drop rates across failure directions.
-  [[nodiscard]] std::uint64_t udp_dropped() const noexcept {
-    return udp_copies_dropped_tx + udp_deliveries_dropped_rx;
-  }
-
   [[nodiscard]] std::uint64_t messages_sent() const noexcept {
     return udp_sent + tcp_sent;
   }
   [[nodiscard]] std::uint64_t messages_dropped() const noexcept {
-    return udp_dropped() + tcp_dropped;
+    return udp_copies_dropped_tx + udp_deliveries_dropped_rx + tcp_dropped;
   }
 
   void reset() noexcept { *this = KernelStats{}; }

@@ -42,10 +42,6 @@ std::string to_string(const FuzzPlan& plan) {
     out += " workload=";
     out += experiment::to_string(plan.workload);
   }
-  if (plan.multicast_scope != net::MulticastScope::kScoped) {
-    out += " scope=";
-    out += net::to_string(plan.multicast_scope);
-  }
   return out;
 }
 
@@ -87,12 +83,6 @@ FuzzPlan draw_fuzz_plan(experiment::SystemModel model, std::uint64_t seed,
     plan.workload =
         config.workload_choices[rng.index(config.workload_choices.size())];
   }
-  // Drawn after workload (FuzzPlan::multicast_scope): pre-scoping plans
-  // reproduce.
-  if (!config.scope_choices.empty()) {
-    plan.multicast_scope =
-        config.scope_choices[rng.index(config.scope_choices.size())];
-  }
   return plan;
 }
 
@@ -106,9 +96,7 @@ experiment::ExperimentConfig fuzz_experiment_config(
   out.failure_placement = fuzz_case.plan.placement;
   out.failure_episodes = fuzz_case.plan.episodes;
   out.message_loss_rate = fuzz_case.plan.message_loss_rate;
-  out.failure_application = config.failure_application;
   out.workload.kind = fuzz_case.plan.workload;
-  out.multicast_scope = fuzz_case.plan.multicast_scope;
   if (fuzz_case.plan.converge_shape) {
     // Outages drawn over the first half, quiet second half: recovery
     // has a failure-free window at least as long as the paper's whole
@@ -151,13 +139,6 @@ FuzzCase shrink_fuzz_case(const FuzzCase& failing, const FuzzConfig& config,
     // Candidate simplifications, most drastic first; the pass restarts
     // after every accepted step, so the ladder reaches a fixpoint.
     std::vector<FuzzCase> candidates;
-    if (best.plan.multicast_scope != net::MulticastScope::kScoped) {
-      // Reset the newest plan dimension first: a failure that survives
-      // on the default scope is a protocol bug, not a fan-out bug.
-      FuzzCase candidate = best;
-      candidate.plan.multicast_scope = net::MulticastScope::kScoped;
-      candidates.push_back(candidate);
-    }
     if (best.plan.workload != experiment::WorkloadKind::kStatic) {
       FuzzCase candidate = best;
       candidate.plan.workload = experiment::WorkloadKind::kStatic;
@@ -241,11 +222,6 @@ std::string dump_finding(const FuzzFinding& finding,
     std::ofstream out(dir / "repro.txt");
     out << "minimized: " << to_string(finding.minimized) << '\n';
     out << "original:  " << to_string(finding.original) << '\n';
-    out << "failure application: "
-        << (config.failure_application == net::FailureApplication::kRefcounted
-                ? "refcounted"
-                : "legacy-boolean")
-        << '\n';
     out << "users: " << config.users << '\n';
     out << finding.report.violation_total << " violation(s):\n";
     for (const Violation& violation : finding.report.violations) {

@@ -6,8 +6,7 @@
 //
 //   $ sdcm_fuzz                               # default sweep, all models
 //   $ sdcm_fuzz --models=UPnP --seeds=1:100   # hammer one model
-//   $ sdcm_fuzz --legacy-failures --dump=out  # reproduce the pre-fix
-//                                             # overlapping-episode bug
+//   $ sdcm_fuzz --seeds=1:50 --dump=out       # repro bundles per finding
 //
 // Exit status: 0 clean, 1 when any invariant was violated, 2 on usage
 // errors.
@@ -41,17 +40,8 @@ std::string usage() {
          "  --workloads[=a,b,...]\n"
          "                     also draw a synthetic workload per plan;\n"
          "                     choices from static,churn,storm,saturation\n"
-         "                     (bare flag = all four, default: none).\n"
-         "                     Also draws a multicast scope per plan\n"
-         "                     unless --scopes overrides it, so churned\n"
-         "                     subscription tables are fuzzed in every\n"
-         "                     fan-out mode\n"
-         "  --scopes[=a,b,...] multicast fan-out choices per plan from\n"
-         "                     scoped,scoped-rng,broadcast (bare flag =\n"
-         "                     all three, default: scoped only)\n"
+         "                     (bare flag = all four, default: none)\n"
          "  --users=N          Users per run (default 5)\n"
-         "  --legacy-failures  apply failure plans with the pre-fix plain\n"
-         "                     boolean flips (overlap regression mode)\n"
          "  --require-convergence\n"
          "                     flag stranded users on converge-shaped\n"
          "                     plans (hunts delivery-abandonment cases;\n"
@@ -102,7 +92,6 @@ std::vector<std::string> split(std::string_view text, char separator) {
 int main(int argc, char** argv) {
   check::FuzzConfig config;
   config.log = &std::cerr;
-  bool scopes_given = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -178,24 +167,6 @@ int main(int argc, char** argv) {
           config.workload_choices.push_back(*kind);
         }
       }
-    } else if (key == "--scopes") {
-      scopes_given = true;
-      config.scope_choices.clear();
-      if (value.empty()) {
-        config.scope_choices = {net::MulticastScope::kScoped,
-                                net::MulticastScope::kScopedRng,
-                                net::MulticastScope::kBroadcast};
-      } else {
-        for (const auto& name : split(value, ',')) {
-          const auto scope = net::multicast_scope_from_name(name);
-          if (!scope) {
-            std::cerr << "error: unknown multicast scope '" << name << "'\n\n"
-                      << usage();
-            return 2;
-          }
-          config.scope_choices.push_back(*scope);
-        }
-      }
     } else if (key == "--users") {
       std::uint64_t parsed = 0;
       if (!parse_u64(value, parsed) || parsed == 0 || parsed > 1000) {
@@ -203,8 +174,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       config.users = static_cast<int>(parsed);
-    } else if (key == "--legacy-failures") {
-      config.failure_application = net::FailureApplication::kLegacyBoolean;
     } else if (key == "--require-convergence") {
       config.require_convergence = true;
     } else if (key == "--no-shrink") {
@@ -226,15 +195,6 @@ int main(int argc, char** argv) {
   if (config.models.empty()) {
     std::cerr << "error: --models needs at least one name\n\n" << usage();
     return 2;
-  }
-
-  // The --workloads lane also fuzzes fan-out modes (churned
-  // subscription tables exercised under the oracle in every scope)
-  // unless --scopes pinned them explicitly.
-  if (!config.workload_choices.empty() && !scopes_given) {
-    config.scope_choices = {net::MulticastScope::kScoped,
-                            net::MulticastScope::kScopedRng,
-                            net::MulticastScope::kBroadcast};
   }
 
   const check::FuzzResult result = check::run_fuzz(config);

@@ -80,11 +80,6 @@ std::string usage() {
          "                     (synchronized announce bursts), saturation\n"
          "                     (token-bucket link capacity + bursts);\n"
          "                     default: static paper scenario\n"
-         "  --multicast-scope=MODE   multicast fan-out: scoped (default;\n"
-         "                     interest-filtered dispatch, bit-identical\n"
-         "                     traces), scoped-rng (also skips RNG draws\n"
-         "                     for uninterested nodes - fastest, its own\n"
-         "                     fingerprints), broadcast (legacy full loop)\n"
          "  --placement=fit|truncated   failure episode placement\n"
          "  --episodes=N       outage episodes per node (default 1)\n"
          "  --loss=P           per-message loss probability (default 0)\n"
@@ -258,13 +253,6 @@ std::optional<Options> parse(int argc, const char* const* argv,
         return std::nullopt;
       }
       options.sweep.workload.kind = *kind;
-    } else if (key == "--multicast-scope") {
-      const auto scope = net::multicast_scope_from_name(value);
-      if (!scope) {
-        error = "--multicast-scope must be scoped, scoped-rng or broadcast";
-        return std::nullopt;
-      }
-      options.sweep.multicast_scope = *scope;
     } else if (key == "--loss") {
       double loss = 0.0;
       if (!parse_double(value, loss) || loss < 0.0 || loss > 1.0) {

@@ -159,7 +159,6 @@ void write_campaign_summary_json(std::ostream& os,
   u64("peak_heap_size", summary.kernel.peak_heap_size);
   u64("callback_heap_allocs", summary.kernel.callback_heap_allocs);
   u64("udp_sent", summary.kernel.udp_sent);
-  u64("udp_dropped", summary.kernel.udp_dropped());
   u64("udp_copies_dropped_tx", summary.kernel.udp_copies_dropped_tx);
   u64("udp_deliveries_dropped_rx", summary.kernel.udp_deliveries_dropped_rx);
   u64("udp_deliveries_skipped", summary.kernel.udp_deliveries_skipped);

@@ -60,7 +60,6 @@ metrics::RunRecord run_impl(const ExperimentConfig& config,
   }
   net::Network network(simulator);
   network.set_message_loss_rate(config.message_loss_rate);
-  network.set_multicast_scope(config.multicast_scope);
   discovery::ConsistencyObserver observer;
   if (config.oracle != nullptr) {
     config.oracle->begin_run(observer, network, config.duration);
@@ -124,7 +123,7 @@ metrics::RunRecord run_impl(const ExperimentConfig& config,
   if (config.oracle != nullptr) {
     config.oracle->arm(plan, observer.users(), workload_plan.departed);
   }
-  net::apply_failures(simulator, network, plan, config.failure_application);
+  net::apply_failures(simulator, network, plan);
 
   // Schedule the lifecycle events after apply_failures: at an equal
   // timestamp the interface-down flip fires first, so a depart()'s state

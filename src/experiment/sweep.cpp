@@ -224,7 +224,6 @@ SweepResult run_sweep(const SweepConfig& config) {
         run_seed(config.master_seed, point.model, point.lambda_index, job.run);
     config.ablation.apply(run_config);
     run_config.workload = config.workload;
-    run_config.multicast_scope = config.multicast_scope;
     if (config.customize) config.customize(run_config);
     if (trace_sink != nullptr) {
       run_config.trace_writer =

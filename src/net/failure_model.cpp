@@ -63,8 +63,7 @@ std::vector<FailureEpisode> plan_failures(std::span<const NodeId> nodes,
 }
 
 void apply_failures(sim::Simulator& simulator, Network& network,
-                    std::span<const FailureEpisode> plan,
-                    FailureApplication application) {
+                    std::span<const FailureEpisode> plan) {
   // Nesting depth of concurrent episodes per node per direction, shared
   // by every transition of this plan and kept alive by the lambdas.
   struct DownDepth {
@@ -72,7 +71,6 @@ void apply_failures(sim::Simulator& simulator, Network& network,
     int rx = 0;
   };
   const auto depth = std::make_shared<std::map<NodeId, DownDepth>>();
-  const bool refcounted = application == FailureApplication::kRefcounted;
   for (const FailureEpisode& ep : plan) {
     if (ep.mode == FailureMode::kNone || ep.duration <= 0) continue;
     const bool tx = ep.mode == FailureMode::kTransmitter ||
@@ -97,17 +95,17 @@ void apply_failures(sim::Simulator& simulator, Network& network,
               "interface.down", std::string(to_string(ep.mode)));
         });
     simulator.schedule_at(
-        ep.end(), [&simulator, &network, ep, tx, rx, depth, refcounted]() {
+        ep.end(), [&simulator, &network, ep, tx, rx, depth]() {
           SDCM_PROFILE_SITE(simulator, "timer.net.interface_up");
           auto& iface = network.interface(ep.node);
           auto& nesting = (*depth)[ep.node];
           if (tx) {
             --nesting.tx;
-            if (!refcounted || nesting.tx <= 0) iface.set_tx(true);
+            if (nesting.tx <= 0) iface.set_tx(true);
           }
           if (rx) {
             --nesting.rx;
-            if (!refcounted || nesting.rx <= 0) iface.set_rx(true);
+            if (nesting.rx <= 0) iface.set_rx(true);
           }
           simulator.trace().record(
               simulator.now(), ep.node, sim::TraceCategory::kFailure,

@@ -66,23 +66,6 @@ void erase_seq(List& list, std::uint32_t seq) {
 
 }  // namespace
 
-std::string_view to_string(MulticastScope scope) noexcept {
-  switch (scope) {
-    case MulticastScope::kBroadcast: return "broadcast";
-    case MulticastScope::kScoped: return "scoped";
-    case MulticastScope::kScopedRng: return "scoped-rng";
-  }
-  return "unknown";
-}
-
-std::optional<MulticastScope> multicast_scope_from_name(
-    std::string_view name) noexcept {
-  if (name == "broadcast") return MulticastScope::kBroadcast;
-  if (name == "scoped") return MulticastScope::kScoped;
-  if (name == "scoped-rng") return MulticastScope::kScopedRng;
-  return std::nullopt;
-}
-
 std::string_view to_string(MessageClass c) noexcept {
   switch (c) {
     case MessageClass::kUpdate: return "update";
@@ -230,26 +213,17 @@ std::uint32_t Network::intern_interest_set(
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   const auto [it, inserted] = interest_index_.try_emplace(
       std::move(ids), static_cast<std::uint32_t>(interest_sets_.size()));
-  if (inserted) {
-    InterestSet set;
-    set.types = it->first;
-    set.bits.assign(MessageType::kMaxAtoms / 64, 0);
-    for (const MessageType::Id tid : set.types) {
-      set.bits[tid >> 6] |= std::uint64_t{1} << (tid & 63);
-    }
-    interest_sets_.push_back(std::move(set));
-  }
+  if (inserted) interest_sets_.push_back(it->first);
   return it->second;
 }
 
-void Network::drop_index_entries(NodeId id, const Port& p) {
-  (void)id;
+void Network::drop_index_entries(const Port& p) {
   if (p.interest == kInterestUniversal) {
     erase_seq(universal_, p.seq);
     return;
   }
   if (p.interest == kInterestUnresolved) return;
-  for (const MessageType::Id tid : interest_sets_[p.interest].types) {
+  for (const MessageType::Id tid : interest_sets_[p.interest]) {
     if (static_cast<std::size_t>(tid) < subs_by_type_.size()) {
       erase_seq(subs_by_type_[tid], p.seq);
     }
@@ -258,7 +232,7 @@ void Network::drop_index_entries(NodeId id, const Port& p) {
 
 void Network::apply_interests(NodeId id, Port& p,
                               std::optional<std::vector<MessageType>> types) {
-  drop_index_entries(id, p);
+  drop_index_entries(p);
   if (!types.has_value()) {
     p.interest = kInterestUniversal;
     insert_sorted_by_seq(universal_, Sub{p.seq, id});
@@ -266,7 +240,7 @@ void Network::apply_interests(NodeId id, Port& p,
   }
   const std::uint32_t set = intern_interest_set(*types);
   p.interest = set;
-  for (const MessageType::Id tid : interest_sets_[set].types) {
+  for (const MessageType::Id tid : interest_sets_[set]) {
     if (static_cast<std::size_t>(tid) >= subs_by_type_.size()) {
       subs_by_type_.resize(static_cast<std::size_t>(tid) + 1);
     }
@@ -290,24 +264,28 @@ void Network::set_multicast_interests(
   apply_interests(id, port(id), std::move(types));
 }
 
-std::vector<NodeId> Network::multicast_subscribers(MessageType type) {
-  resolve_pending_interests();
-  const auto tid = static_cast<std::size_t>(type.id());
+template <typename Visit>
+void Network::for_each_subscriber(MessageType type, Visit&& visit) const {
   static const std::vector<Sub> kEmpty;
+  const auto tid = static_cast<std::size_t>(type.id());
   const std::vector<Sub>& typed =
       tid < subs_by_type_.size() ? subs_by_type_[tid] : kEmpty;
-  std::vector<NodeId> out;
-  out.reserve(universal_.size() + typed.size());
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < universal_.size() || j < typed.size()) {
     if (j >= typed.size() ||
         (i < universal_.size() && universal_[i].seq < typed[j].seq)) {
-      out.push_back(universal_[i++].id);
+      visit(universal_[i++].id);
     } else {
-      out.push_back(typed[j++].id);
+      visit(typed[j++].id);
     }
   }
+}
+
+std::vector<NodeId> Network::multicast_subscribers(MessageType type) {
+  resolve_pending_interests();
+  std::vector<NodeId> out;
+  for_each_subscriber(type, [&out](NodeId id) { out.push_back(id); });
   return out;
 }
 
@@ -325,7 +303,7 @@ bool Network::check_subscription_index() {
     if (static_cast<std::size_t>(p.interest) >= interest_sets_.size()) {
       return false;
     }
-    for (const MessageType::Id tid : interest_sets_[p.interest].types) {
+    for (const MessageType::Id tid : interest_sets_[p.interest]) {
       if (static_cast<std::size_t>(tid) >= want_typed.size()) {
         want_typed.resize(static_cast<std::size_t>(tid) + 1);
       }
@@ -438,32 +416,13 @@ void Network::deliver_multicast_copy(
   dport.sink->handle_message(m);
 }
 
-void Network::audit_multicast_copy(const std::shared_ptr<const Message>& wire,
-                                   NodeId dst, bool lost) {
-  SDCM_PROFILE_ONLY(sim_.profile_attribute(wire->type.id()));
-  Port& dport = port(dst);
-  const bool rx_up = dport.iface.rx_up();
-  if (probe_ == nullptr && rx_up && !lost) return;
-  Message m = *wire;
-  m.dst = dst;
-  if (probe_ != nullptr) probe_->on_arrival(m, rx_up, lost, sim_.now());
-  if (!rx_up || lost) {
-    ++sim_.kernel_stats().udp_deliveries_dropped_rx;
-    sim_.trace().record_child(m.span, sim_.now(), m.dst,
-                              sim::TraceCategory::kTransport, "net.drop.rx",
-                              type_detail(m));
-  }
-}
-
 void Network::multicast(const Message& msg, int redundant_copies) {
   assert(redundant_copies >= 1);
   Port& src = port(msg.src);
   sim::KernelStats& kstats = sim_.kernel_stats();
   const sim::SpanId cause =
       msg.span != sim::kNoSpan ? msg.span : sim_.trace().ambient();
-  if (scope_ != MulticastScope::kBroadcast) resolve_pending_interests();
-  const MessageType::Id type_id = msg.type.id();
-  const auto typed_index = static_cast<std::size_t>(type_id);
+  resolve_pending_interests();
   for (int copy = 0; copy < redundant_copies; ++copy) {
     if (probe_ != nullptr) {
       probe_->on_send(msg, src.iface.tx_up(), sim_.now());
@@ -502,65 +461,19 @@ void Network::multicast(const Message& msg, int redundant_copies) {
       w.span = cause;
       return w;
     }());
-    if (scope_ == MulticastScope::kScopedRng) {
-      // Full asymptotic win: iterate only the subscribers (universal +
-      // per-atom lists merged in attach order) and draw delay/loss RNG
-      // only for them. Different RNG consumption than the other modes,
-      // hence the separately pinned fingerprints.
-      static const std::vector<Sub> kEmpty;
-      const std::vector<Sub>& typed = typed_index < subs_by_type_.size()
-                                          ? subs_by_type_[typed_index]
-                                          : kEmpty;
-      std::uint64_t dispatched = 0;
-      std::size_t i = 0;
-      std::size_t j = 0;
-      while (i < universal_.size() || j < typed.size()) {
-        NodeId dst;
-        if (j >= typed.size() ||
-            (i < universal_.size() && universal_[i].seq < typed[j].seq)) {
-          dst = universal_[i++].id;
-        } else {
-          dst = typed[j++].id;
-        }
-        if (dst == msg.src) continue;
-        const auto delay = shaping + draw_delay();
-        const bool lost = lost_in_transit();
-        ++dispatched;
-        sim_.schedule_in(delay, [this, wire, dst, lost]() {
-          deliver_multicast_copy(wire, dst, lost);
-        });
-      }
-      kstats.udp_deliveries_skipped +=
-          static_cast<std::uint64_t>(order_.size() - 1) - dispatched;
-      continue;
-    }
-    // kScoped (default) and kBroadcast: iterate every attached node so
-    // the per-destination delay/loss draws consume the RNG streams in
-    // attach order - bit-identical traces across all three of legacy
-    // broadcast, kBroadcast, and kScoped. In kScoped an uninterested
-    // destination gets a lightweight audit event (probe + drop
-    // accounting keep the trace stream identical) instead of a
-    // dispatched delivery.
-    for (const NodeId dst : order_) {
-      if (dst == msg.src) continue;
+    // Only subscribers draw delay and loss, in attach order.
+    std::uint64_t dispatched = 0;
+    for_each_subscriber(msg.type, [&](NodeId dst) {
+      if (dst == msg.src) return;
       const auto delay = shaping + draw_delay();
       const bool lost = lost_in_transit();
-      bool interested = true;
-      if (scope_ == MulticastScope::kScoped) {
-        const std::uint32_t in = table_[static_cast<std::size_t>(dst)].interest;
-        interested = in == kInterestUniversal || interest_sets_[in].test(type_id);
-      }
-      if (interested) {
-        sim_.schedule_in(delay, [this, wire, dst, lost]() {
-          deliver_multicast_copy(wire, dst, lost);
-        });
-      } else {
-        ++kstats.udp_deliveries_skipped;
-        sim_.schedule_in(delay, [this, wire, dst, lost]() {
-          audit_multicast_copy(wire, dst, lost);
-        });
-      }
-    }
+      ++dispatched;
+      sim_.schedule_in(delay, [this, wire, dst, lost]() {
+        deliver_multicast_copy(wire, dst, lost);
+      });
+    });
+    kstats.udp_deliveries_skipped +=
+        static_cast<std::uint64_t>(order_.size() - 1) - dispatched;
   }
 }
 

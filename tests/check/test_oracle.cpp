@@ -258,8 +258,9 @@ TEST_F(OracleTest, InterfaceUpInsidePlannedOutageIsViolation) {
   net::Message msg;
   msg.src = 1;
   msg.dst = 2;
-  // The legacy-boolean bug: first episode's up-flip at 200 s re-enables
-  // the interface while the second episode still covers it.
+  // An interface seen up at 210 s while the second episode still
+  // covers it (e.g. an application that let the first episode's up-flip
+  // at 200 s re-enable it).
   oracle.on_send(msg, /*tx_up=*/true, sim::seconds(210));
   const OracleReport report = oracle.finish();
   ASSERT_EQ(report.violation_total, 1u) << describe_all(report);

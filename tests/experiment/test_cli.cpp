@@ -136,6 +136,13 @@ TEST(Cli, UnknownFlagRejected) {
   const char* argv[] = {"sdcm_sweep", "--frobnicate"};
   EXPECT_FALSE(parse(2, argv, error).has_value());
   EXPECT_NE(error.find("frobnicate"), std::string::npos);
+  // The removed multicast mode flag is unknown too, and the help text
+  // names no mode, so tools probing it for "scoped-rng" drop the flag.
+  const char* scope[] = {"sdcm_sweep", "--multicast-scope=scoped-rng"};
+  EXPECT_FALSE(parse(2, scope, error).has_value());
+  EXPECT_NE(error.find("unknown flag '--multicast-scope'"), std::string::npos)
+      << error;
+  EXPECT_EQ(usage().find("scoped-rng"), std::string::npos);
 }
 
 TEST(Cli, HelpShortCircuits) {

@@ -343,16 +343,15 @@ TEST(Sweep, ShardedUnionReproducesUnshardedViaMerge) {
 }
 
 TEST(Sweep, ScopedRngSweepIsShardInvariantUnderTheOracle) {
-  // scoped-rng changes RNG consumption inside a run, never across runs:
-  // a sharded campaign must reproduce the unsharded one bit for bit,
-  // with the consistency oracle clean on every run in both. This is the
-  // acceptance gate for flipping a campaign to --multicast-scope=scoped-rng.
+  // Interest-scoped multicast changes RNG consumption inside a run,
+  // never across runs: a sharded campaign must reproduce the unsharded
+  // one bit for bit, with the consistency oracle clean on every run in
+  // both.
   SweepConfig config;
   config.models = {SystemModel::kFrodoThreeParty, SystemModel::kUpnp};
   config.lambdas = {0.15, 0.45};
   config.runs = 4;
   config.threads = 2;
-  config.multicast_scope = net::MulticastScope::kScopedRng;
 
   CheckSink whole_checks;
   config.check_sink = &whole_checks;
@@ -387,36 +386,11 @@ TEST(Sweep, ScopedRngSweepIsShardInvariantUnderTheOracle) {
     EXPECT_EQ(a.metrics.efficiency, b.metrics.efficiency);
     EXPECT_EQ(a.metrics.degradation, b.metrics.degradation);
   }
-  // The scope travels in the JSONL header and survives the merge.
+  // The skip counter travels in the JSONL run lines and survives the
+  // merge.
   EXPECT_EQ(merged->summary.kernel.udp_deliveries_skipped,
             whole.summary.kernel.udp_deliveries_skipped);
   EXPECT_GT(whole.summary.kernel.udp_deliveries_skipped, 0u);
-}
-
-TEST(Sweep, MergeRefusesMixedMulticastScopes) {
-  SweepConfig config;
-  config.models = {SystemModel::kUpnp};
-  config.lambdas = {0.15};
-  config.runs = 2;
-  std::ostringstream log0, log1;
-  {
-    JsonlSink sink(log0);
-    config.sink = &sink;
-    (void)run_sweep(config);
-  }
-  {
-    SweepConfig other = config;
-    other.multicast_scope = net::MulticastScope::kScopedRng;
-    JsonlSink sink(log1);
-    other.sink = &sink;
-    (void)run_sweep(other);
-  }
-  std::istringstream in0(log0.str()), in1(log1.str());
-  std::istream* shards[] = {&in0, &in1};
-  std::string error;
-  const auto merged = merge_jsonl(shards, error);
-  EXPECT_FALSE(merged.has_value());
-  EXPECT_NE(error.find("multicast_scope"), std::string::npos) << error;
 }
 
 TEST(Sweep, ShardedSweepRunsOnlyItsSlice) {

@@ -170,11 +170,30 @@ TEST_F(ThreePartyFixture, CriticalUpdateUsesSrc1AndSrc2) {
 }
 
 TEST_F(ThreePartyFixture, InterestNotificationSkipsKnownVersions) {
-  // Users already hold v1 when they register interest; the Central must
-  // not send a redundant notification (count preservation at lambda = 0).
+  // An interest registration from a User that already holds the
+  // registered version must not trigger a notification; one from a User
+  // holding nothing must. (A User whose interest reaches the Central
+  // before the Manager's registration is notified by the
+  // new-registration path whatever it holds; that race is timing-
+  // dependent, so the interest path is driven explicitly here.)
   build(5);
   simulator.run_until(seconds(100));
-  EXPECT_EQ(network.counters().of_type(msg::kServiceNotification), 0u);
+  // Count preservation at lambda = 0: no update-class traffic at all.
+  EXPECT_EQ(network.counters().of_class(net::MessageClass::kUpdate), 0u);
+  const auto notify = [&](ServiceVersion known, sim::SimTime until) {
+    net::Message m;
+    m.src = 11;
+    m.dst = 1;
+    m.type = msg::kNotificationRequest;
+    m.klass = net::MessageClass::kControl;
+    m.payload = NotificationRequest{11, printer_req(), known};
+    network.send(m);
+    simulator.run_until(until);
+    return network.counters().of_type(msg::kServiceNotification);
+  };
+  const auto before = network.counters().of_type(msg::kServiceNotification);
+  EXPECT_EQ(notify(1, seconds(101)), before);
+  EXPECT_EQ(notify(0, seconds(102)), before + 1);
 }
 
 TEST_F(ThreePartyFixture, LateUserIsNotifiedOfExistingRegistration) {

@@ -232,45 +232,28 @@ TEST(FailurePlanner, FitInsideEpisodesNeverOverlapPerNode) {
 TEST(ApplyFailures, OverlappingEpisodesStayDownUnderRefcounting) {
   // Two overlapping tx outages on node 1: [100 s, 200 s) and
   // [150 s, 250 s). The union is down until 250 s.
-  const auto make_plan = [] {
-    FailureEpisode first;
-    first.node = 1;
-    first.mode = FailureMode::kTransmitter;
-    first.start = seconds(100);
-    first.duration = seconds(100);
-    FailureEpisode second = first;
-    second.start = seconds(150);
-    return std::array{first, second};
-  };
+  FailureEpisode first;
+  first.node = 1;
+  first.mode = FailureMode::kTransmitter;
+  first.start = seconds(100);
+  first.duration = seconds(100);
+  FailureEpisode second = first;
+  second.start = seconds(150);
+  const std::array plan{first, second};
 
-  // Legacy boolean application: the first episode's recovery at 200 s
-  // re-enables the interface while the second still covers it (the bug).
-  sim::Simulator legacy_sim(8);
-  Network legacy_net(legacy_sim);
-  legacy_net.attach(1, [](const Message&) {});
-  apply_failures(legacy_sim, legacy_net, make_plan(),
-                 FailureApplication::kLegacyBoolean);
-  legacy_sim.run_until(seconds(210));
-  EXPECT_TRUE(legacy_net.interface(1).tx_up());
-  legacy_sim.run_until(seconds(260));
-
-  // Refcounted application: the interface only comes back once every
-  // covering episode has ended.
-  sim::Simulator fixed_sim(8);
-  Network fixed_net(fixed_sim);
-  fixed_net.attach(1, [](const Message&) {});
-  apply_failures(fixed_sim, fixed_net, make_plan(),
-                 FailureApplication::kRefcounted);
-  fixed_sim.run_until(seconds(210));
-  EXPECT_FALSE(fixed_net.interface(1).tx_up());
-  fixed_sim.run_until(seconds(260));
-  EXPECT_TRUE(fixed_net.interface(1).tx_up());
-
-  // Both applications emit the same trace records (the fix changes
-  // interface state transitions, not the log), so golden fingerprints
-  // are unaffected.
-  EXPECT_EQ(legacy_sim.trace().records().size(),
-            fixed_sim.trace().records().size());
+  // The interface only comes back once every covering episode has
+  // ended: the first episode's recovery at 200 s must not re-enable it
+  // while the second still covers it.
+  sim::Simulator simulator(8);
+  Network network(simulator);
+  network.attach(1, [](const Message&) {});
+  apply_failures(simulator, network, plan);
+  simulator.run_until(seconds(210));
+  EXPECT_FALSE(network.interface(1).tx_up());
+  simulator.run_until(seconds(260));
+  EXPECT_TRUE(network.interface(1).tx_up());
+  // Both episode bounds are logged: two downs, two ups.
+  EXPECT_EQ(simulator.trace().records().size(), 4u);
 }
 
 }  // namespace

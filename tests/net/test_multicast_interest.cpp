@@ -1,8 +1,8 @@
 // Interest-scoped multicast fan-out (DESIGN.md section 14): routing by
-// declared interest, the three MulticastScope modes and their RNG
-// disciplines, the subscription index under interest churn, the
-// udp_deliveries_skipped counter, and the closure-size / reserve_nodes
-// regressions fixed alongside the scoping work.
+// declared interest, the RNG discipline (only subscribers draw), the
+// subscription index under interest churn, the udp_deliveries_skipped
+// counter, and the closure-size / reserve_nodes regressions fixed
+// alongside the scoping work.
 
 #include "sdcm/net/network.hpp"
 
@@ -64,18 +64,6 @@ struct MulticastScopeFixture : ::testing::Test {
   }
 };
 
-TEST(MulticastScopeNames, RoundTripThroughToString) {
-  for (const MulticastScope scope :
-       {MulticastScope::kBroadcast, MulticastScope::kScoped,
-        MulticastScope::kScopedRng}) {
-    const auto parsed = multicast_scope_from_name(to_string(scope));
-    ASSERT_TRUE(parsed.has_value()) << to_string(scope);
-    EXPECT_EQ(*parsed, scope);
-  }
-  EXPECT_FALSE(multicast_scope_from_name("unscoped").has_value());
-  EXPECT_FALSE(multicast_scope_from_name("").has_value());
-}
-
 TEST_F(MulticastScopeFixture, ScopedRoutesByDeclaredInterest) {
   network.multicast(multicast_msg(1, "scope.a"));
   simulator.run_until(seconds(1));
@@ -86,28 +74,14 @@ TEST_F(MulticastScopeFixture, ScopedRoutesByDeclaredInterest) {
   EXPECT_TRUE(wants_none.inbox.empty());
   // Two of the four destinations were uninterested.
   EXPECT_EQ(simulator.kernel_stats().udp_deliveries_skipped, 2u);
-}
 
-TEST_F(MulticastScopeFixture, ScopedRngRoutesIdenticallyToScoped) {
-  network.set_multicast_scope(MulticastScope::kScopedRng);
   network.multicast(multicast_msg(1, "scope.b"));
-  simulator.run_until(seconds(1));
-  EXPECT_TRUE(wants_a.inbox.empty());
-  EXPECT_EQ(wants_b.inbox.size(), 1u);
-  EXPECT_EQ(universal.inbox.size(), 1u);
-  EXPECT_TRUE(wants_none.inbox.empty());
-  EXPECT_EQ(simulator.kernel_stats().udp_deliveries_skipped, 2u);
-}
-
-TEST_F(MulticastScopeFixture, BroadcastIgnoresInterests) {
-  network.set_multicast_scope(MulticastScope::kBroadcast);
-  network.multicast(multicast_msg(1, "scope.a"));
-  simulator.run_until(seconds(1));
+  simulator.run_until(seconds(2));
   EXPECT_EQ(wants_a.inbox.size(), 1u);
   EXPECT_EQ(wants_b.inbox.size(), 1u);
-  EXPECT_EQ(universal.inbox.size(), 1u);
-  EXPECT_EQ(wants_none.inbox.size(), 1u);
-  EXPECT_EQ(simulator.kernel_stats().udp_deliveries_skipped, 0u);
+  EXPECT_EQ(universal.inbox.size(), 2u);
+  EXPECT_TRUE(wants_none.inbox.empty());
+  EXPECT_EQ(simulator.kernel_stats().udp_deliveries_skipped, 4u);
 }
 
 TEST_F(MulticastScopeFixture, SkippedCountsPerCopyPerDestination) {
@@ -171,63 +145,34 @@ TEST_F(MulticastScopeFixture, DuplicateInterestDeclarationsCollapse) {
   EXPECT_EQ(wants_a.inbox.size(), 1u);  // one delivery, not two
 }
 
-// The default scoped mode must consume delay/loss RNG in attach order
-// for every destination - interested or not - so its delivery schedule
-// is bit-identical to the legacy broadcast loop's.
-TEST(MulticastScopeRng, ScopedMatchesBroadcastDrawForDraw) {
-  std::vector<sim::SimTime> times[2];
-  const MulticastScope modes[2] = {MulticastScope::kBroadcast,
-                                   MulticastScope::kScoped};
-  for (int i = 0; i < 2; ++i) {
-    sim::Simulator simulator{424242};
-    Network network{simulator};
-    network.set_multicast_scope(modes[i]);
-    InterestedSink sender, skipped, last;
-    skipped.interests = std::vector<MessageType>{};  // no multicast
-    last.clock = &simulator;
-    network.attach(1, sender);
-    network.attach(2, skipped);
-    network.attach(3, last);
-    for (int k = 0; k < 50; ++k) {
-      network.multicast(multicast_msg(1, "rng.pin"));
-    }
-    simulator.run_until(seconds(1));
-    times[i] = last.arrivals;
-  }
-  ASSERT_EQ(times[0].size(), 50u);
-  EXPECT_EQ(times[0], times[1]);
-}
-
-// scoped-rng deliberately breaks that alignment: it draws only for
-// subscribers, so a destination *after* a skipped one reuses the
-// skipped draws and lands at a different time (that is why its goldens
-// are pinned separately), while a destination *before* any skip still
-// matches the scoped stream draw for draw.
+// Only subscribers draw delay and loss: attaching a node that declares
+// no interest must not move any subscriber's arrival, whether it sits
+// before, between or after them in attach order.
 TEST(MulticastScopeRng, ScopedRngSkipsDrawsForUninterested) {
-  std::vector<sim::SimTime> before_at(2u), after_at(2u);
-  const MulticastScope modes[2] = {MulticastScope::kScoped,
-                                   MulticastScope::kScopedRng};
-  for (std::size_t i = 0; i < 2; ++i) {
+  std::vector<sim::SimTime> arrivals[2];
+  for (int with_skipped = 0; with_skipped < 2; ++with_skipped) {
     sim::Simulator simulator{424242};
     Network network{simulator};
-    network.set_multicast_scope(modes[i]);
     InterestedSink sender, before, skipped, after;
     before.clock = &simulator;
     skipped.interests = std::vector<MessageType>{};
     after.clock = &simulator;
     network.attach(1, sender);
     network.attach(2, before);
-    network.attach(3, skipped);
+    if (with_skipped == 1) network.attach(3, skipped);
     network.attach(4, after);
-    network.multicast(multicast_msg(1, "rng.skip"));
+    for (int k = 0; k < 50; ++k) {
+      network.multicast(multicast_msg(1, "rng.skip"));
+    }
     simulator.run_until(seconds(1));
-    ASSERT_EQ(before.arrivals.size(), 1u);
-    ASSERT_EQ(after.arrivals.size(), 1u);
-    before_at[i] = before.arrivals[0];
-    after_at[i] = after.arrivals[0];
+    ASSERT_EQ(before.arrivals.size(), 50u);
+    ASSERT_EQ(after.arrivals.size(), 50u);
+    arrivals[with_skipped] = before.arrivals;
+    arrivals[with_skipped].insert(arrivals[with_skipped].end(),
+                                  after.arrivals.begin(), after.arrivals.end());
+    EXPECT_TRUE(skipped.inbox.empty());
   }
-  EXPECT_EQ(before_at[0], before_at[1]);  // draw precedes any skip
-  EXPECT_NE(after_at[0], after_at[1]);    // node 4 reuses node 3's draws
+  EXPECT_EQ(arrivals[0], arrivals[1]);
 }
 
 // Every multicast delivery closure must fit InlineCallback's buffer:
@@ -245,12 +190,6 @@ TEST(MulticastScopeAlloc, DeliveryClosuresStayInline) {
     network.multicast(multicast_msg(1, "alloc.pin"), 3);
   }
   simulator.run_until(seconds(1));
-  EXPECT_EQ(simulator.kernel_stats().callback_heap_allocs, 0u);
-  network.set_multicast_scope(MulticastScope::kScopedRng);
-  for (int k = 0; k < 20; ++k) {
-    network.multicast(multicast_msg(1, "alloc.pin"), 3);
-  }
-  simulator.run_until(seconds(2));
   EXPECT_EQ(simulator.kernel_stats().callback_heap_allocs, 0u);
 }
 
