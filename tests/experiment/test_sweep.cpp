@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "sdcm/experiment/sink.hpp"
 
@@ -391,6 +392,36 @@ TEST(Sweep, ScopedRngSweepIsShardInvariantUnderTheOracle) {
   EXPECT_EQ(merged->summary.kernel.udp_deliveries_skipped,
             whole.summary.kernel.udp_deliveries_skipped);
   EXPECT_GT(whole.summary.kernel.udp_deliveries_skipped, 0u);
+}
+
+TEST(Sweep, MergeRefusesMixedMulticastScopes) {
+  // A log written under the old per-destination multicast (version 1,
+  // with a multicast_scope header field) comes from another RNG stream:
+  // merging it with a current log must fail, not mix the two.
+  SweepConfig config;
+  config.models = {SystemModel::kUpnp};
+  config.lambdas = {0.15};
+  config.runs = 2;
+  std::ostringstream log;
+  {
+    JsonlSink sink(log);
+    config.sink = &sink;
+    (void)run_sweep(config);
+  }
+  const std::string current = log.str();
+  const std::string v2 = "{\"sdcm_campaign\":2,";
+  ASSERT_EQ(current.rfind(v2, 0), 0u);
+  std::string old = "{\"sdcm_campaign\":1," + current.substr(v2.size());
+  const auto shard_field = old.find(",\"shard_index\":");
+  ASSERT_NE(shard_field, std::string::npos);
+  old.insert(shard_field, ",\"multicast_scope\":\"scoped\"");
+
+  std::istringstream in0(current), in1(old);
+  std::istream* shards[] = {&in0, &in1};
+  std::string error;
+  const auto merged = merge_jsonl(shards, error);
+  EXPECT_FALSE(merged.has_value());
+  EXPECT_NE(error.find("multicast"), std::string::npos) << error;
 }
 
 TEST(Sweep, ShardedSweepRunsOnlyItsSlice) {
