@@ -110,6 +110,7 @@ struct BackupSync {
   struct InterestRecord {
     NodeId user = sim::kNoNode;
     Matching matching;
+    ServiceVersion known_version = 0;
   };
   std::vector<RegistrationRecord> registrations;
   std::vector<SubscriptionRecord> subscriptions;

@@ -115,6 +115,12 @@ class FrodoRegistryNode : public discovery::Node {
     std::map<ServiceVersion, discovery::ServiceDescription> history;
   };
   struct Subscription : discovery::LeaseEntry {};
+  /// A User's PR1 interest and the version it reported holding; the
+  /// Central never notifies it of that version or an older one.
+  struct Interest {
+    Matching matching;
+    ServiceVersion known_version = 0;
+  };
 
   FrodoConfig config_;
   discovery::ConsistencyObserver* observer_ = nullptr;
@@ -137,7 +143,7 @@ class FrodoRegistryNode : public discovery::Node {
   /// the N-scaling session tables, held in dense NodeMap slabs.
   std::map<ServiceId, discovery::NodeMap<NodeId, Subscription>>
       subscriptions_;
-  discovery::NodeMap<NodeId, Matching> interests_;
+  discovery::NodeMap<NodeId, Interest> interests_;
   /// Snapshot held while serving as Backup; installed on takeover.
   BackupSync synced_;
 };

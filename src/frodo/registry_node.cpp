@@ -117,7 +117,7 @@ void FrodoRegistryNode::become_central(std::uint64_t epoch) {
       }
     }
     for (const auto& rec : synced_.interests) {
-      interests_[rec.user] = rec.matching;
+      interests_[rec.user] = Interest{rec.matching, rec.known_version};
     }
     synced_ = BackupSync{};
   }
@@ -212,8 +212,9 @@ void FrodoRegistryNode::sync_backup() {
       sync.subscriptions.push_back(BackupSync::SubscriptionRecord{service, user});
     }
   }
-  for (const auto& [user, matching] : interests_) {
-    sync.interests.push_back(BackupSync::InterestRecord{user, matching});
+  for (const auto& [user, interest] : interests_) {
+    sync.interests.push_back(BackupSync::InterestRecord{
+        user, interest.matching, interest.known_version});
   }
   Message m;
   m.src = id();
@@ -527,9 +528,11 @@ void FrodoRegistryNode::propagate_update(ServiceId service) {
 }
 
 void FrodoRegistryNode::notify_interests(ServiceId service) {
-  for (const auto& [user, matching] : interests_) {
-    const auto& reg = registrations_.at(service);
-    if (!matching.matches(reg.sd)) continue;
+  const auto& reg = registrations_.at(service);
+  for (const auto& [user, interest] : interests_) {
+    if (!interest.matching.matches(reg.sd)) continue;
+    // The User already holds this version (it said so in its request).
+    if (reg.sd.version <= interest.known_version) continue;
     notify_interest(user, service);
   }
 }
@@ -658,7 +661,7 @@ void FrodoRegistryNode::handle_subscription_renew(const Message& m) {
 
 void FrodoRegistryNode::handle_notification_request(const Message& m) {
   const auto& req = m.as<NotificationRequest>();
-  interests_[req.user] = req.matching;
+  interests_[req.user] = Interest{req.matching, req.known_version};
   sync_backup();
   if (!config_.enable_pr1) return;
   // FRODO's PR1 improvement over Jini: notify about *existing* matching
@@ -716,8 +719,8 @@ void FrodoRegistryNode::purge_registration(ServiceId service) {
     }
     subscriptions_.erase(subs_it);
   }
-  for (const auto& [user, matching] : interests_) {
-    if (matching.matches(sd)) recipients.insert(user);
+  for (const auto& [user, interest] : interests_) {
+    if (interest.matching.matches(sd)) recipients.insert(user);
   }
   for (const NodeId user : recipients) {
     Message gone;

@@ -135,9 +135,13 @@ TEST(FuzzRegression, RefcountedFailuresPassTheSameCase) {
 TEST(FuzzShrink, MinimizedStrandedCaseStillFailsAndKeepsTheConvergeShape) {
   FuzzConfig config;
   config.require_convergence = true;
+  // Message loss is noise the shrinker must strip: without it the case
+  // is exactly the pinned stranded run, which still fails.
+  FuzzCase noisy = stranded_case();
+  noisy.plan.message_loss_rate = 0.2;
   int shrink_runs = 0;
   const FuzzCase minimized =
-      check::shrink_fuzz_case(stranded_case(), config, shrink_runs);
+      check::shrink_fuzz_case(noisy, config, shrink_runs);
   EXPECT_GT(shrink_runs, 0);
   // Convergence is only demanded of converge-shaped plans; the shrinker
   // must not "minimize" its way past the failure.

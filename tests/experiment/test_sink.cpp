@@ -195,14 +195,6 @@ TEST(Sink, MergeRejectsCorruptCampaigns) {
     std::istream* shards[] = {&in};
     EXPECT_FALSE(merge_jsonl(shards, error).has_value());
   }
-  {  // A version 1 log: another multicast RNG stream, never merged.
-    const std::string v2 = "{\"sdcm_campaign\":2,";
-    ASSERT_EQ(good.rfind(v2, 0), 0u);
-    std::istringstream in("{\"sdcm_campaign\":1," + good.substr(v2.size()));
-    std::istream* shards[] = {&in};
-    EXPECT_FALSE(merge_jsonl(shards, error).has_value());
-    EXPECT_NE(error.find("version 1"), std::string::npos) << error;
-  }
   // Header fields that older logs could omit are required now.
   for (const std::string field : {"managers", "registries", "workload"}) {
     const auto at = good.find(",\"" + field + "\":");

@@ -170,16 +170,13 @@ TEST_F(ThreePartyFixture, CriticalUpdateUsesSrc1AndSrc2) {
 }
 
 TEST_F(ThreePartyFixture, InterestNotificationSkipsKnownVersions) {
-  // An interest registration from a User that already holds the
-  // registered version must not trigger a notification; one from a User
-  // holding nothing must. (A User whose interest reaches the Central
-  // before the Manager's registration is notified by the
-  // new-registration path whatever it holds; that race is timing-
-  // dependent, so the interest path is driven explicitly here.)
+  // Users already hold v1 when they register interest; the Central must
+  // not send a redundant notification (count preservation at lambda = 0).
   build(5);
   simulator.run_until(seconds(100));
-  // Count preservation at lambda = 0: no update-class traffic at all.
-  EXPECT_EQ(network.counters().of_class(net::MessageClass::kUpdate), 0u);
+  EXPECT_EQ(network.counters().of_type(msg::kServiceNotification), 0u);
+  // The interest path on its own: a request reporting v1 sends nothing,
+  // one reporting nothing is notified.
   const auto notify = [&](ServiceVersion known, sim::SimTime until) {
     net::Message m;
     m.src = 11;
@@ -191,9 +188,8 @@ TEST_F(ThreePartyFixture, InterestNotificationSkipsKnownVersions) {
     simulator.run_until(until);
     return network.counters().of_type(msg::kServiceNotification);
   };
-  const auto before = network.counters().of_type(msg::kServiceNotification);
-  EXPECT_EQ(notify(1, seconds(101)), before);
-  EXPECT_EQ(notify(0, seconds(102)), before + 1);
+  EXPECT_EQ(notify(1, seconds(101)), 0u);
+  EXPECT_EQ(notify(0, seconds(102)), 1u);
 }
 
 TEST_F(ThreePartyFixture, LateUserIsNotifiedOfExistingRegistration) {
