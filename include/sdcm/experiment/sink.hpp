@@ -246,8 +246,9 @@ class ProgressSink final : public RunSink {
 };
 
 /// The machine-readable campaign log: one JSON object per line. The
-/// first line is a campaign header (models, lambdas, runs, users, seed,
-/// shard); every following line is one run with its full RunRecord.
+/// first line is a campaign header (format version, every campaign
+/// identity field of for_each_identity_field, shard); every following
+/// line is one run with its full RunRecord.
 /// Numbers round-trip exactly (%.17g doubles, decimal uint64s), which
 /// is what lets shard logs merge into the bit-identical unsharded
 /// result.
@@ -280,23 +281,6 @@ class MultiSink final : public RunSink {
   std::vector<RunSink*> sinks_;
 };
 
-/// The campaign header line of a JSONL log.
-struct CampaignHeader {
-  std::vector<SystemModel> models;
-  std::vector<double> lambdas;
-  int runs = 0;
-  int users = 0;
-  /// Topology axes beyond the user count (-1 registries = the model
-  /// default).
-  int managers = 1;
-  int registries = -1;
-  std::uint64_t seed = 0;
-  /// Workload generator the campaign ran under.
-  WorkloadKind workload = WorkloadKind::kStatic;
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-};
-
 /// One parsed run line of a JSONL log (owning copy of the record).
 struct CampaignRun {
   std::size_t point_index = 0;
@@ -309,20 +293,23 @@ struct CampaignRun {
   metrics::RunRecord record;
 };
 
-/// Parses the first line of a JSONL log. Returns std::nullopt with a
-/// message on `error` when the line is not a campaign header of format
-/// version 2 (version 1 logs come from another multicast RNG stream and
-/// are rejected, never merged).
-std::optional<CampaignHeader> parse_jsonl_header(std::string_view line,
-                                                 std::string& error);
+/// Parses the first line of a JSONL log back into the campaign's
+/// SweepConfig: every for_each_identity_field key plus the shard, the
+/// result checked by SweepConfig::validate(). Returns std::nullopt with a
+/// message on `error` when the line is not a valid campaign header of
+/// format version 3 (older versions are rejected, never merged: version
+/// 1 logs come from another multicast RNG stream, version 2 logs carry
+/// no ablation or workload parameters).
+std::optional<SweepConfig> parse_jsonl_header(std::string_view line,
+                                              std::string& error);
 
 /// Parses one run line of a JSONL log.
 std::optional<CampaignRun> parse_jsonl_run(std::string_view line,
                                            std::string& error);
 
 /// Merges shard logs (each produced by JsonlSink over the same campaign
-/// config) back into the full sweep: headers must agree on (models,
-/// lambdas, runs, topology, seed), every (point, run) must appear exactly
+/// config) back into the full sweep: headers must agree on every
+/// campaign identity field, every (point, run) must appear exactly
 /// once across the inputs, and the rebuilt summaries are bit-identical
 /// to the unsharded run_sweep result. On failure returns std::nullopt
 /// with a message on `error`.

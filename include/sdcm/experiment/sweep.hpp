@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "sdcm/experiment/protocol_registry.hpp"
 #include "sdcm/experiment/scenario.hpp"
 #include "sdcm/metrics/streaming.hpp"
 #include "sdcm/metrics/update_metrics.hpp"
@@ -40,6 +41,34 @@ struct AblationSpec {
   double message_loss_rate = 0.0;
 
   void apply(ExperimentConfig& run) const;
+};
+
+/// One recovery-technique toggle of AblationSpec: its campaign-log key,
+/// its sdcm_sweep flag, the technique the protocol descriptors consume,
+/// and the spec member. The CLI, SweepConfig::validate and the campaign
+/// identity all loop over kAblationToggles.
+struct AblationToggleRow {
+  const char* key;
+  const char* flag;
+  AblationToggle toggle;
+  bool AblationSpec::*member;
+};
+
+inline constexpr AblationToggleRow kAblationToggles[] = {
+    {"frodo_pr1", "--no-frodo-pr1", AblationToggle::kFrodoPr1,
+     &AblationSpec::frodo_pr1},
+    {"frodo_srn2", "--no-frodo-srn2", AblationToggle::kFrodoSrn2,
+     &AblationSpec::frodo_srn2},
+    {"frodo_pr3", "--no-frodo-pr3", AblationToggle::kFrodoPr3,
+     &AblationSpec::frodo_pr3},
+    {"frodo_pr4", "--no-frodo-pr4", AblationToggle::kFrodoPr4,
+     &AblationSpec::frodo_pr4},
+    {"frodo_pr5", "--no-frodo-pr5", AblationToggle::kFrodoPr5,
+     &AblationSpec::frodo_pr5},
+    {"upnp_pr4", "--no-upnp-pr4", AblationToggle::kUpnpPr4,
+     &AblationSpec::upnp_pr4},
+    {"upnp_pr5", "--no-upnp-pr5", AblationToggle::kUpnpPr5,
+     &AblationSpec::upnp_pr5},
 };
 
 /// Deterministic campaign partition: shard `index` of `count` executes
@@ -115,6 +144,51 @@ struct SweepConfig {
   /// model, lambda outside [0, 1], malformed shard).
   [[nodiscard]] std::optional<std::string> validate() const;
 };
+
+/// The campaign identity: every SweepConfig field that decides what a
+/// campaign's runs compute, with its campaign-log header key, in header
+/// order (the shard, threads, sinks, keep_records and customize are not
+/// identity). JsonlSink writes the header from this table,
+/// parse_jsonl_header reads it back and merge_jsonl compares shards
+/// field by field, so a field listed here is logged, parsed and checked
+/// everywhere. Calls `visit(key, field)` once per field; `Config` is
+/// SweepConfig or const SweepConfig.
+template <class Config, class Visit>
+void for_each_identity_field(Config& config, Visit&& visit) {
+  visit("models", config.models);
+  visit("lambdas", config.lambdas);
+  visit("runs", config.runs);
+  visit("users", config.topology.users);
+  visit("managers", config.topology.managers);
+  visit("registries", config.topology.registries);
+  visit("seed", config.master_seed);
+  for (const AblationToggleRow& row : kAblationToggles) {
+    visit(row.key, config.ablation.*row.member);
+  }
+  visit("placement", config.ablation.placement);
+  visit("episodes", config.ablation.episodes);
+  visit("message_loss_rate", config.ablation.message_loss_rate);
+  auto& churn = config.workload.churn;
+  auto& storm = config.workload.storm;
+  auto& saturation = config.workload.saturation;
+  visit("workload", config.workload.kind);
+  visit("churn_sessions", churn.sessions);
+  visit("churn_window_start", churn.window_start);
+  visit("churn_window_end", churn.window_end);
+  visit("churn_min_down", churn.min_down);
+  visit("churn_max_down", churn.max_down);
+  visit("churn_users", churn.churn_users);
+  visit("churn_manager", churn.churn_manager);
+  visit("churn_permanent_leave_fraction", churn.permanent_leave_fraction);
+  visit("storm_bursts", storm.bursts);
+  visit("storm_announcements_per_burst", storm.announcements_per_burst);
+  visit("storm_first_burst", storm.first_burst);
+  visit("storm_burst_spacing", storm.burst_spacing);
+  visit("storm_mitigation_jitter", storm.mitigation_jitter);
+  visit("saturation_link_rate_hz", saturation.link_rate_hz);
+  visit("saturation_burst_capacity", saturation.burst_capacity);
+  visit("saturation_queue_limit", saturation.queue_limit);
+}
 
 struct SweepPoint {
   SystemModel model{};

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -50,6 +51,12 @@ enum class FailurePlacement : std::uint8_t {
   kFitInside,
   kTruncated,
 };
+
+/// "fit" / "truncated": the sdcm_sweep --placement values and the
+/// campaign-log names.
+std::string_view to_string(FailurePlacement placement) noexcept;
+std::optional<FailurePlacement> placement_from_name(
+    std::string_view name) noexcept;
 
 /// Parameters of the paper's failure injection.
 struct FailurePlanConfig {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 
 namespace sdcm::sim {
 
@@ -13,6 +14,8 @@ namespace sdcm::sim {
 ///
 /// Counting is always on: every field is a plain increment on a path
 /// that already touches the adjacent cache line, so there is no toggle.
+/// kKernelCounters below lists every field with its log key and how it
+/// folds across runs; a new counter goes in both places.
 struct KernelStats {
   // Event queue.
   std::uint64_t events_scheduled = 0;
@@ -67,26 +70,55 @@ struct KernelStats {
   void reset() noexcept { *this = KernelStats{}; }
 };
 
-/// Folds one run's counters into a campaign-level total: every counter
-/// adds, except the heap high-water mark, which only makes sense as a
-/// max across runs.
+/// How a counter folds across runs into a campaign total.
+enum class CounterFold : std::uint8_t { kSum, kMax };
+
+struct KernelCounter {
+  /// Key in the campaign log's run lines and the summary JSON.
+  const char* key;
+  std::uint64_t KernelStats::*member;
+  CounterFold fold;
+};
+
+/// Every KernelStats counter, in campaign-log key order. Each reader and
+/// writer of the counters (accumulate, the JSONL run line, the summary
+/// JSON, the sdcm_logs run report) loops over this table; a counter
+/// missing here fails the static_assert below.
+inline constexpr KernelCounter kKernelCounters[] = {
+    {"events_scheduled", &KernelStats::events_scheduled, CounterFold::kSum},
+    {"events_cancelled", &KernelStats::events_cancelled, CounterFold::kSum},
+    {"events_fired", &KernelStats::events_fired, CounterFold::kSum},
+    {"peak_heap_size", &KernelStats::peak_heap_size, CounterFold::kMax},
+    {"callback_heap_allocs", &KernelStats::callback_heap_allocs,
+     CounterFold::kSum},
+    {"udp_sent", &KernelStats::udp_sent, CounterFold::kSum},
+    {"udp_copies_dropped_tx", &KernelStats::udp_copies_dropped_tx,
+     CounterFold::kSum},
+    {"udp_deliveries_dropped_rx", &KernelStats::udp_deliveries_dropped_rx,
+     CounterFold::kSum},
+    {"udp_deliveries_skipped", &KernelStats::udp_deliveries_skipped,
+     CounterFold::kSum},
+    {"tcp_sent", &KernelStats::tcp_sent, CounterFold::kSum},
+    {"tcp_dropped", &KernelStats::tcp_dropped, CounterFold::kSum},
+    {"capacity_dropped", &KernelStats::capacity_dropped, CounterFold::kSum},
+    {"capacity_delayed", &KernelStats::capacity_delayed, CounterFold::kSum},
+    {"capacity_queue_peak", &KernelStats::capacity_queue_peak,
+     CounterFold::kMax},
+    {"trace_records", &KernelStats::trace_records, CounterFold::kSum},
+};
+static_assert(sizeof(KernelStats) ==
+                  std::size(kKernelCounters) * sizeof(std::uint64_t),
+              "every KernelStats counter needs a kKernelCounters row");
+
+/// Folds one run's counters into a campaign-level total: counters add,
+/// high-water marks (kMax) take the max across runs.
 inline void accumulate(KernelStats& total, const KernelStats& run) noexcept {
-  total.events_scheduled += run.events_scheduled;
-  total.events_cancelled += run.events_cancelled;
-  total.events_fired += run.events_fired;
-  total.peak_heap_size = std::max(total.peak_heap_size, run.peak_heap_size);
-  total.callback_heap_allocs += run.callback_heap_allocs;
-  total.udp_sent += run.udp_sent;
-  total.udp_copies_dropped_tx += run.udp_copies_dropped_tx;
-  total.udp_deliveries_dropped_rx += run.udp_deliveries_dropped_rx;
-  total.udp_deliveries_skipped += run.udp_deliveries_skipped;
-  total.tcp_sent += run.tcp_sent;
-  total.tcp_dropped += run.tcp_dropped;
-  total.capacity_dropped += run.capacity_dropped;
-  total.capacity_delayed += run.capacity_delayed;
-  total.capacity_queue_peak =
-      std::max(total.capacity_queue_peak, run.capacity_queue_peak);
-  total.trace_records += run.trace_records;
+  for (const KernelCounter& counter : kKernelCounters) {
+    std::uint64_t& sum = total.*counter.member;
+    const std::uint64_t value = run.*counter.member;
+    sum = counter.fold == CounterFold::kMax ? std::max(sum, value)
+                                             : sum + value;
+  }
 }
 
 }  // namespace sdcm::sim

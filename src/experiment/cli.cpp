@@ -1,6 +1,7 @@
 #include "sdcm/experiment/cli.hpp"
 
 #include <charconv>
+#include <iterator>
 #include <sstream>
 
 #include "sdcm/experiment/protocol_registry.hpp"
@@ -31,6 +32,13 @@ bool parse_double(std::string_view text, double& out) {
   char* end = nullptr;
   out = std::strtod(copy.c_str(), &end);
   return end == copy.c_str() + copy.size() && !copy.empty();
+}
+
+const AblationToggleRow* toggle_by_flag(std::string_view flag) {
+  for (const AblationToggleRow& row : kAblationToggles) {
+    if (flag == row.flag) return &row;
+  }
+  return nullptr;
 }
 
 bool parse_int(std::string_view text, long& out) {
@@ -82,9 +90,13 @@ std::string usage() {
          "                     default: static paper scenario\n"
          "  --placement=fit|truncated   failure episode placement\n"
          "  --episodes=N       outage episodes per node (default 1)\n"
-         "  --loss=P           per-message loss probability (default 0)\n"
-         "  --no-frodo-pr1 --no-frodo-srn2 --no-frodo-pr3 --no-frodo-pr4\n"
-         "  --no-frodo-pr5 --no-upnp-pr4 --no-upnp-pr5   ablations\n"
+         "  --loss=P           per-message loss probability (default 0)\n";
+  // The --no-* ablation flags, four to a line.
+  for (std::size_t i = 0; i < std::size(kAblationToggles); ++i) {
+    oss << (i % 4 == 0 ? "  " : " ") << kAblationToggles[i].flag
+        << (i % 4 == 3 ? "\n" : "");
+  }
+  oss << "   ablations\n"
          "  --check            run the consistency oracle on every run;\n"
          "                     exit 1 on any invariant violation\n"
          "  --profile[=FILE]   attach a wall-clock profiler to every run\n"
@@ -261,28 +273,14 @@ std::optional<Options> parse(int argc, const char* const* argv,
       }
       options.sweep.ablation.message_loss_rate = loss;
     } else if (key == "--placement") {
-      if (value == "fit") {
-        options.sweep.ablation.placement = net::FailurePlacement::kFitInside;
-      } else if (value == "truncated") {
-        options.sweep.ablation.placement = net::FailurePlacement::kTruncated;
-      } else {
+      const auto placement = net::placement_from_name(value);
+      if (!placement) {
         error = "--placement must be 'fit' or 'truncated'";
         return std::nullopt;
       }
-    } else if (key == "--no-frodo-pr1") {
-      options.sweep.ablation.frodo_pr1 = false;
-    } else if (key == "--no-frodo-srn2") {
-      options.sweep.ablation.frodo_srn2 = false;
-    } else if (key == "--no-frodo-pr3") {
-      options.sweep.ablation.frodo_pr3 = false;
-    } else if (key == "--no-frodo-pr4") {
-      options.sweep.ablation.frodo_pr4 = false;
-    } else if (key == "--no-frodo-pr5") {
-      options.sweep.ablation.frodo_pr5 = false;
-    } else if (key == "--no-upnp-pr4") {
-      options.sweep.ablation.upnp_pr4 = false;
-    } else if (key == "--no-upnp-pr5") {
-      options.sweep.ablation.upnp_pr5 = false;
+      options.sweep.ablation.placement = *placement;
+    } else if (const AblationToggleRow* toggle = toggle_by_flag(key)) {
+      options.sweep.ablation.*toggle->member = false;
     } else if (key == "--check") {
       options.check = true;
     } else if (key == "--profile") {

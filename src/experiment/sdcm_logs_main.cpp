@@ -296,18 +296,11 @@ int main(int argc, char** argv) {
   // UDP drops are split by unit (see KernelStats): tx kills a wire
   // copy, rx kills one per-destination delivery; skipped counts the
   // deliveries interest scoping never performed.
-  std::printf("kernel: udp sent %llu, copies dropped tx %llu, deliveries "
-              "dropped rx %llu, deliveries skipped %llu; tcp sent %llu, "
-              "dropped %llu\n",
-              static_cast<unsigned long long>(record.kernel.udp_sent),
-              static_cast<unsigned long long>(
-                  record.kernel.udp_copies_dropped_tx),
-              static_cast<unsigned long long>(
-                  record.kernel.udp_deliveries_dropped_rx),
-              static_cast<unsigned long long>(
-                  record.kernel.udp_deliveries_skipped),
-              static_cast<unsigned long long>(record.kernel.tcp_sent),
-              static_cast<unsigned long long>(record.kernel.tcp_dropped));
+  std::printf("kernel:\n");
+  for (const sim::KernelCounter& counter : sim::kKernelCounters) {
+    std::printf("  %-26s %llu\n", counter.key,
+                static_cast<unsigned long long>(record.kernel.*counter.member));
+  }
   std::printf("trace: %llu records, fingerprint 0x%016llx\n",
               static_cast<unsigned long long>(traced.trace.appended()),
               static_cast<unsigned long long>(record.trace_fingerprint));

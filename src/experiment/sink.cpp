@@ -1,14 +1,12 @@
 #include "sdcm/experiment/sink.hpp"
 
-#include <cctype>
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -78,7 +76,8 @@ void ProgressSink::draw(bool final_line) {
 }
 
 // ---------------------------------------------------------------------
-// JSON emission. Hand-rolled so the number formats are exact: doubles
+// Campaign-log JSON, written and read through the shared helpers in
+// json_util.hpp. Hand-rolled so the number formats are exact: doubles
 // as %.17g (shortest lossless round-trip is not needed, 17 significant
 // digits always reparse to the same bits) and 64-bit integers in full.
 // ---------------------------------------------------------------------
@@ -89,44 +88,141 @@ using jsonu::append_double;
 using jsonu::append_i64;
 using jsonu::append_quoted;
 using jsonu::append_u64;
+using jsonu::JsonParser;
+using jsonu::JsonValue;
 
-/// The "sdcm_campaign" format version. Version 2 is the first written
-/// under the single multicast behaviour; every other version is
-/// rejected on read.
-constexpr std::uint64_t kCampaignLogVersion = 2;
+/// The "sdcm_campaign" format version. Version 3 is the first whose
+/// header carries the whole campaign identity (for_each_identity_field);
+/// every other version is rejected on read.
+constexpr std::uint64_t kCampaignLogVersion = 3;
 
-void append_kernel(std::string& out, const sim::KernelStats& k) {
-  out += "{\"events_scheduled\":";
-  append_u64(out, k.events_scheduled);
-  out += ",\"events_cancelled\":";
-  append_u64(out, k.events_cancelled);
-  out += ",\"events_fired\":";
-  append_u64(out, k.events_fired);
-  out += ",\"peak_heap_size\":";
-  append_u64(out, k.peak_heap_size);
-  out += ",\"callback_heap_allocs\":";
-  append_u64(out, k.callback_heap_allocs);
-  out += ",\"udp_sent\":";
-  append_u64(out, k.udp_sent);
-  out += ",\"udp_copies_dropped_tx\":";
-  append_u64(out, k.udp_copies_dropped_tx);
-  out += ",\"udp_deliveries_dropped_rx\":";
-  append_u64(out, k.udp_deliveries_dropped_rx);
-  out += ",\"udp_deliveries_skipped\":";
-  append_u64(out, k.udp_deliveries_skipped);
-  out += ",\"tcp_sent\":";
-  append_u64(out, k.tcp_sent);
-  out += ",\"tcp_dropped\":";
-  append_u64(out, k.tcp_dropped);
-  out += ",\"capacity_dropped\":";
-  append_u64(out, k.capacity_dropped);
-  out += ",\"capacity_delayed\":";
-  append_u64(out, k.capacity_delayed);
-  out += ",\"capacity_queue_peak\":";
-  append_u64(out, k.capacity_queue_peak);
-  out += ",\"trace_records\":";
-  append_u64(out, k.trace_records);
-  out += '}';
+// One emitter and one reader per field type of the campaign log, so the
+// header, the run lines and the merge all read and write a field the
+// same way. Readers return false on a wrong type or an out-of-range
+// value; they never narrow.
+
+void append_json(std::string& out, int v) { append_i64(out, v); }
+void append_json(std::string& out, std::int64_t v) { append_i64(out, v); }
+void append_json(std::string& out, std::uint64_t v) { append_u64(out, v); }
+void append_json(std::string& out, double v) { append_double(out, v); }
+void append_json(std::string& out, bool v) { out += v ? "true" : "false"; }
+void append_json(std::string& out, std::string_view v) {
+  append_quoted(out, v);
+}
+void append_json(std::string& out, SystemModel v) {
+  append_quoted(out, to_string(v));
+}
+void append_json(std::string& out, WorkloadKind v) {
+  append_quoted(out, to_string(v));
+}
+void append_json(std::string& out, net::FailurePlacement v) {
+  append_quoted(out, net::to_string(v));
+}
+/// null or the value.
+template <class T>
+void append_json(std::string& out, const std::optional<T>& value) {
+  if (value.has_value()) {
+    append_json(out, *value);
+  } else {
+    out += "null";
+  }
+}
+template <class T>
+void append_json(std::string& out, const std::vector<T>& items) {
+  out += '[';
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += ',';
+    append_json(out, items[i]);
+  }
+  out += ']';
+}
+
+/// Appends `"key":value` after `separator` ('{' opens the object).
+template <class T>
+void append_field(std::string& out, char separator, const char* key,
+                  const T& value) {
+  out += separator;
+  out += '"';
+  out += key;
+  out += "\":";
+  append_json(out, value);
+}
+
+bool read_json(const JsonValue& v, int& out) {
+  std::int64_t wide = 0;
+  if (!v.as_i64(wide) || wide < std::numeric_limits<int>::min() ||
+      wide > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  out = static_cast<int>(wide);
+  return true;
+}
+bool read_json(const JsonValue& v, std::int64_t& out) { return v.as_i64(out); }
+bool read_json(const JsonValue& v, std::uint64_t& out) {
+  return v.as_u64(out);
+}
+bool read_json(const JsonValue& v, double& out) { return v.as_double(out); }
+bool read_json(const JsonValue& v, bool& out) {
+  if (v.type != JsonValue::Type::kBool) return false;
+  out = v.boolean;
+  return true;
+}
+/// A name that `lookup` resolves to a T.
+template <class T, class Lookup>
+bool read_name(const JsonValue& v, T& out, Lookup lookup) {
+  if (v.type != JsonValue::Type::kString) return false;
+  const std::optional<T> found = lookup(v.text);
+  if (found) out = *found;
+  return found.has_value();
+}
+bool read_json(const JsonValue& v, SystemModel& out) {
+  return read_name(v, out, model_from_name);
+}
+bool read_json(const JsonValue& v, WorkloadKind& out) {
+  return read_name(v, out, workload_from_name);
+}
+bool read_json(const JsonValue& v, net::FailurePlacement& out) {
+  return read_name(v, out, net::placement_from_name);
+}
+/// null or a T.
+template <class T>
+bool read_json(const JsonValue& v, std::optional<T>& out) {
+  out.reset();
+  if (v.type == JsonValue::Type::kNull) return true;
+  return read_json(v, out.emplace());
+}
+template <class T>
+bool read_json(const JsonValue& v, std::vector<T>& out) {
+  if (v.type != JsonValue::Type::kArray) return false;
+  out.assign(v.items.size(), T{});
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (!read_json(v.items[i], out[i])) return false;
+  }
+  return true;
+}
+
+template <class T>
+bool get_field(const JsonValue& obj, const char* key, T& out,
+               std::string& error) {
+  const JsonValue* value = obj.find(key);
+  if (value == nullptr || !read_json(*value, out)) {
+    error = std::string("missing or invalid field '") + key + "'";
+    return false;
+  }
+  return true;
+}
+
+/// The campaign identity as (key, JSON value) pairs in header order,
+/// serialised as JsonlSink writes it: what merge_jsonl compares across
+/// shards.
+std::vector<std::pair<const char*, std::string>> identity_json(
+    const SweepConfig& config) {
+  std::vector<std::pair<const char*, std::string>> fields;
+  for_each_identity_field(config, [&fields](const char* key,
+                                            const auto& value) {
+    append_json(fields.emplace_back(key, std::string()).second, value);
+  });
+  return fields;
 }
 
 }  // namespace
@@ -134,76 +230,41 @@ void append_kernel(std::string& out, const sim::KernelStats& k) {
 JsonlSink::JsonlSink(std::ostream& out) : out_(out) {}
 
 void JsonlSink::on_campaign_begin(const SweepConfig& config, std::uint64_t) {
-  std::string line = "{\"sdcm_campaign\":";
-  append_u64(line, kCampaignLogVersion);
-  line += ",\"models\":[";
-  for (std::size_t i = 0; i < config.models.size(); ++i) {
-    if (i > 0) line += ',';
-    append_quoted(line, to_string(config.models[i]));
-  }
-  line += "],\"lambdas\":[";
-  for (std::size_t i = 0; i < config.lambdas.size(); ++i) {
-    if (i > 0) line += ',';
-    append_double(line, config.lambdas[i]);
-  }
-  line += "],\"runs\":";
-  append_i64(line, config.runs);
-  line += ",\"users\":";
-  append_i64(line, config.topology.users);
-  line += ",\"managers\":";
-  append_i64(line, config.topology.managers);
-  line += ",\"registries\":";
-  append_i64(line, config.topology.registries);
-  line += ",\"seed\":";
-  append_u64(line, config.master_seed);
-  line += ",\"workload\":";
-  append_quoted(line, to_string(config.workload.kind));
-  line += ",\"shard_index\":";
-  append_u64(line, config.shard.index);
-  line += ",\"shard_count\":";
-  append_u64(line, config.shard.count);
+  std::string line;
+  append_field(line, '{', "sdcm_campaign", kCampaignLogVersion);
+  for_each_identity_field(config, [&line](const char* key, const auto& value) {
+    append_field(line, ',', key, value);
+  });
+  append_field(line, ',', "shard_index", std::uint64_t{config.shard.index});
+  append_field(line, ',', "shard_count", std::uint64_t{config.shard.count});
   line += "}\n";
   out_ << line;
 }
 
 void JsonlSink::on_run(const RunEvent& event) {
   const metrics::RunRecord& r = *event.record;
-  std::string line = "{\"point\":";
-  append_u64(line, event.point_index);
-  line += ",\"model\":";
-  append_quoted(line, to_string(event.model));
-  line += ",\"lambda\":";
-  append_double(line, event.lambda);
-  line += ",\"lambda_index\":";
-  append_u64(line, event.lambda_index);
-  line += ",\"run\":";
-  append_i64(line, event.run);
-  line += ",\"seed\":";
-  append_u64(line, event.seed);
-  line += ",\"wall_ns\":";
-  append_u64(line, event.wall_ns);
-  line += ",\"record\":{\"change_time\":";
-  append_i64(line, r.change_time);
-  line += ",\"deadline\":";
-  append_i64(line, r.deadline);
-  line += ",\"user_reach_times\":[";
-  for (std::size_t j = 0; j < r.user_reach_times.size(); ++j) {
-    if (j > 0) line += ',';
-    if (r.user_reach_times[j].has_value()) {
-      append_i64(line, *r.user_reach_times[j]);
-    } else {
-      line += "null";
-    }
-  }
-  line += "],\"update_messages\":";
-  append_u64(line, r.update_messages);
-  line += ",\"window_messages\":";
-  append_u64(line, r.window_messages);
-  line += ",\"trace_fingerprint\":";
-  append_u64(line, r.trace_fingerprint);
+  std::string line;
+  append_field(line, '{', "point", std::uint64_t{event.point_index});
+  append_field(line, ',', "model", event.model);
+  append_field(line, ',', "lambda", event.lambda);
+  append_field(line, ',', "lambda_index", std::uint64_t{event.lambda_index});
+  append_field(line, ',', "run", event.run);
+  append_field(line, ',', "seed", event.seed);
+  append_field(line, ',', "wall_ns", event.wall_ns);
+  line += ",\"record\":";
+  append_field(line, '{', "change_time", r.change_time);
+  append_field(line, ',', "deadline", r.deadline);
+  append_field(line, ',', "user_reach_times", r.user_reach_times);
+  append_field(line, ',', "update_messages", r.update_messages);
+  append_field(line, ',', "window_messages", r.window_messages);
+  append_field(line, ',', "trace_fingerprint", r.trace_fingerprint);
   line += ",\"kernel\":";
-  append_kernel(line, r.kernel);
-  line += "}}\n";
+  char separator = '{';
+  for (const sim::KernelCounter& counter : sim::kKernelCounters) {
+    append_field(line, separator, counter.key, r.kernel.*counter.member);
+    separator = ',';
+  }
+  line += "}}}\n";
   out_ << line;
 }
 
@@ -349,24 +410,17 @@ void TraceSink::on_run(const RunEvent& event) {
                      std::memory_order_relaxed);
   bytes_.fetch_add(done->writer.bytes_written(), std::memory_order_relaxed);
 
-  std::string line = "{\"file\":";
-  append_quoted(line, done->file);
-  line += ",\"model\":";
-  append_quoted(line, to_string(event.model));
-  line += ",\"lambda\":";
-  append_double(line, event.lambda);
-  line += ",\"lambda_index\":";
-  append_u64(line, event.lambda_index);
-  line += ",\"run\":";
-  append_i64(line, event.run);
-  line += ",\"seed\":";
-  append_u64(line, event.seed);
-  line += ",\"records\":";
-  append_u64(line, done->writer.records_written());
-  line += ",\"bytes\":";
-  append_u64(line, done->writer.bytes_written());
-  line += ",\"trace_fingerprint\":";
-  append_u64(line, event.record->trace_fingerprint);
+  std::string line;
+  append_field(line, '{', "file", std::string_view(done->file));
+  append_field(line, ',', "model", event.model);
+  append_field(line, ',', "lambda", event.lambda);
+  append_field(line, ',', "lambda_index", std::uint64_t{event.lambda_index});
+  append_field(line, ',', "run", event.run);
+  append_field(line, ',', "seed", event.seed);
+  append_field(line, ',', "records", done->writer.records_written());
+  append_field(line, ',', "bytes", done->writer.bytes_written());
+  append_field(line, ',', "trace_fingerprint",
+               event.record->trace_fingerprint);
   line += "}\n";
   const std::lock_guard<std::mutex> lock(mutex_);
   manifest_ << line;
@@ -399,77 +453,11 @@ void MultiSink::on_campaign_end(const CampaignSummary& summary) {
 }
 
 // ---------------------------------------------------------------------
-// JSONL parsing: the shared strict reader from json_util.hpp, plus the
-// campaign-log field accessors.
+// JSONL parsing and shard merge
 // ---------------------------------------------------------------------
 
-namespace {
-
-using jsonu::JsonParser;
-using jsonu::JsonValue;
-
-
-bool get_u64(const JsonValue& obj, const char* key, std::uint64_t& out,
-             std::string& error) {
-  const JsonValue* value = obj.find(key);
-  if (value == nullptr || !value->as_u64(out)) {
-    error = std::string("missing or invalid field '") + key + "'";
-    return false;
-  }
-  return true;
-}
-
-bool get_i64(const JsonValue& obj, const char* key, std::int64_t& out,
-             std::string& error) {
-  const JsonValue* value = obj.find(key);
-  if (value == nullptr || !value->as_i64(out)) {
-    error = std::string("missing or invalid field '") + key + "'";
-    return false;
-  }
-  return true;
-}
-
-bool get_double(const JsonValue& obj, const char* key, double& out,
-                std::string& error) {
-  const JsonValue* value = obj.find(key);
-  if (value == nullptr || !value->as_double(out)) {
-    error = std::string("missing or invalid field '") + key + "'";
-    return false;
-  }
-  return true;
-}
-
-std::optional<SystemModel> model_by_name(std::string_view name) {
-  return model_from_name(name);  // protocol registry name map
-}
-
-bool parse_kernel(const JsonValue& obj, sim::KernelStats& out,
-                  std::string& error) {
-  return get_u64(obj, "events_scheduled", out.events_scheduled, error) &&
-         get_u64(obj, "events_cancelled", out.events_cancelled, error) &&
-         get_u64(obj, "events_fired", out.events_fired, error) &&
-         get_u64(obj, "peak_heap_size", out.peak_heap_size, error) &&
-         get_u64(obj, "callback_heap_allocs", out.callback_heap_allocs,
-                 error) &&
-         get_u64(obj, "udp_sent", out.udp_sent, error) &&
-         get_u64(obj, "udp_copies_dropped_tx", out.udp_copies_dropped_tx,
-                 error) &&
-         get_u64(obj, "udp_deliveries_dropped_rx",
-                 out.udp_deliveries_dropped_rx, error) &&
-         get_u64(obj, "udp_deliveries_skipped", out.udp_deliveries_skipped,
-                 error) &&
-         get_u64(obj, "tcp_sent", out.tcp_sent, error) &&
-         get_u64(obj, "tcp_dropped", out.tcp_dropped, error) &&
-         get_u64(obj, "capacity_dropped", out.capacity_dropped, error) &&
-         get_u64(obj, "capacity_delayed", out.capacity_delayed, error) &&
-         get_u64(obj, "capacity_queue_peak", out.capacity_queue_peak, error) &&
-         get_u64(obj, "trace_records", out.trace_records, error);
-}
-
-}  // namespace
-
-std::optional<CampaignHeader> parse_jsonl_header(std::string_view line,
-                                                 std::string& error) {
+std::optional<SweepConfig> parse_jsonl_header(std::string_view line,
+                                              std::string& error) {
   JsonValue root;
   if (!JsonParser(line).parse(root, error)) return std::nullopt;
   if (root.type != JsonValue::Type::kObject) {
@@ -477,98 +465,39 @@ std::optional<CampaignHeader> parse_jsonl_header(std::string_view line,
     return std::nullopt;
   }
   std::uint64_t version = 0;
-  if (!get_u64(root, "sdcm_campaign", version, error)) return std::nullopt;
+  if (!get_field(root, "sdcm_campaign", version, error)) return std::nullopt;
   if (version != kCampaignLogVersion) {
-    // Version 1 logs predate the single multicast behaviour: their runs
-    // come from a different RNG stream and must not merge with these.
     error = "unsupported campaign log version " + std::to_string(version) +
-            " (expected " + std::to_string(kCampaignLogVersion) +
-            "; version 1 logs were written under another multicast RNG "
-            "stream and must be regenerated)";
+            " (expected " + std::to_string(kCampaignLogVersion);
+    if (version == 1) {
+      error += "; version 1 logs were written under another multicast RNG "
+               "stream and must be regenerated";
+    } else if (version == 2) {
+      error += "; version 2 logs carry no ablation or workload parameters "
+               "and must be regenerated";
+    }
+    error += ")";
     return std::nullopt;
   }
 
-  CampaignHeader header;
-  const JsonValue* models = root.find("models");
-  if (models == nullptr || models->type != JsonValue::Type::kArray ||
-      models->items.empty()) {
-    error = "missing or invalid field 'models'";
-    return std::nullopt;
-  }
-  for (const JsonValue& item : models->items) {
-    if (item.type != JsonValue::Type::kString) {
-      error = "model names must be strings";
-      return std::nullopt;
-    }
-    const auto model = model_by_name(item.text);
-    if (!model) {
-      error = "unknown model '" + item.text + "'";
-      return std::nullopt;
-    }
-    header.models.push_back(*model);
-  }
-  const JsonValue* lambdas = root.find("lambdas");
-  if (lambdas == nullptr || lambdas->type != JsonValue::Type::kArray ||
-      lambdas->items.empty()) {
-    error = "missing or invalid field 'lambdas'";
-    return std::nullopt;
-  }
-  for (const JsonValue& item : lambdas->items) {
-    double lambda = 0.0;
-    if (!item.as_double(lambda)) {
-      error = "lambdas must be numbers";
-      return std::nullopt;
-    }
-    header.lambdas.push_back(lambda);
-  }
-
-  std::int64_t runs = 0;
-  std::int64_t users = 0;
+  SweepConfig config;
+  bool ok = true;
+  for_each_identity_field(config, [&](const char* key, auto& field) {
+    ok = ok && get_field(root, key, field, error);
+  });
   std::uint64_t shard_index = 0;
-  std::uint64_t shard_count = 1;
-  if (!get_i64(root, "runs", runs, error) ||
-      !get_i64(root, "users", users, error) ||
-      !get_u64(root, "seed", header.seed, error) ||
-      !get_u64(root, "shard_index", shard_index, error) ||
-      !get_u64(root, "shard_count", shard_count, error)) {
+  std::uint64_t shard_count = 0;
+  if (!ok || !get_field(root, "shard_index", shard_index, error) ||
+      !get_field(root, "shard_count", shard_count, error)) {
     return std::nullopt;
   }
-  if (runs <= 0 || users <= 0) {
-    error = "runs and users must be positive";
+  config.shard = {static_cast<std::size_t>(shard_index),
+                  static_cast<std::size_t>(shard_count)};
+  if (const auto problem = config.validate()) {
+    error = "invalid campaign header: " + *problem;
     return std::nullopt;
   }
-  header.runs = static_cast<int>(runs);
-  header.users = static_cast<int>(users);
-  header.shard_index = static_cast<std::size_t>(shard_index);
-  header.shard_count = static_cast<std::size_t>(shard_count);
-  std::int64_t managers = 0;
-  std::int64_t registries = 0;
-  if (!get_i64(root, "managers", managers, error) ||
-      !get_i64(root, "registries", registries, error)) {
-    return std::nullopt;
-  }
-  if (managers <= 0) {
-    error = "managers must be positive";
-    return std::nullopt;
-  }
-  if (registries < -1 || registries == 0) {
-    error = "registries must be -1 (model default) or positive";
-    return std::nullopt;
-  }
-  header.managers = static_cast<int>(managers);
-  header.registries = static_cast<int>(registries);
-  const JsonValue* workload = root.find("workload");
-  if (workload == nullptr || workload->type != JsonValue::Type::kString) {
-    error = "missing or invalid field 'workload'";
-    return std::nullopt;
-  }
-  const auto kind = workload_from_name(workload->text);
-  if (!kind) {
-    error = "unknown workload '" + workload->text + "'";
-    return std::nullopt;
-  }
-  header.workload = *kind;
-  return header;
+  return config;
 }
 
 std::optional<CampaignRun> parse_jsonl_run(std::string_view line,
@@ -583,86 +512,44 @@ std::optional<CampaignRun> parse_jsonl_run(std::string_view line,
   CampaignRun out;
   std::uint64_t point = 0;
   std::uint64_t lambda_index = 0;
-  std::int64_t run = 0;
-  if (!get_u64(root, "point", point, error) ||
-      !get_double(root, "lambda", out.lambda, error) ||
-      !get_u64(root, "lambda_index", lambda_index, error) ||
-      !get_i64(root, "run", run, error) ||
-      !get_u64(root, "seed", out.seed, error) ||
-      !get_u64(root, "wall_ns", out.wall_ns, error)) {
+  if (!get_field(root, "point", point, error) ||
+      !get_field(root, "model", out.model, error) ||
+      !get_field(root, "lambda", out.lambda, error) ||
+      !get_field(root, "lambda_index", lambda_index, error) ||
+      !get_field(root, "run", out.run, error) ||
+      !get_field(root, "seed", out.seed, error) ||
+      !get_field(root, "wall_ns", out.wall_ns, error)) {
     return std::nullopt;
   }
   out.point_index = static_cast<std::size_t>(point);
   out.lambda_index = static_cast<std::size_t>(lambda_index);
-  out.run = static_cast<int>(run);
-
-  const JsonValue* model = root.find("model");
-  if (model == nullptr || model->type != JsonValue::Type::kString) {
-    error = "missing or invalid field 'model'";
-    return std::nullopt;
-  }
-  const auto resolved = model_by_name(model->text);
-  if (!resolved) {
-    error = "unknown model '" + model->text + "'";
-    return std::nullopt;
-  }
-  out.model = *resolved;
 
   const JsonValue* record = root.find("record");
   if (record == nullptr || record->type != JsonValue::Type::kObject) {
     error = "missing or invalid field 'record'";
     return std::nullopt;
   }
-  if (!get_i64(*record, "change_time", out.record.change_time, error) ||
-      !get_i64(*record, "deadline", out.record.deadline, error) ||
-      !get_u64(*record, "update_messages", out.record.update_messages,
-               error) ||
-      !get_u64(*record, "window_messages", out.record.window_messages,
-               error) ||
-      !get_u64(*record, "trace_fingerprint", out.record.trace_fingerprint,
-               error)) {
+  metrics::RunRecord& r = out.record;
+  if (!get_field(*record, "change_time", r.change_time, error) ||
+      !get_field(*record, "deadline", r.deadline, error) ||
+      !get_field(*record, "user_reach_times", r.user_reach_times, error) ||
+      !get_field(*record, "update_messages", r.update_messages, error) ||
+      !get_field(*record, "window_messages", r.window_messages, error) ||
+      !get_field(*record, "trace_fingerprint", r.trace_fingerprint, error)) {
     return std::nullopt;
-  }
-  const JsonValue* reach = record->find("user_reach_times");
-  if (reach == nullptr || reach->type != JsonValue::Type::kArray) {
-    error = "missing or invalid field 'user_reach_times'";
-    return std::nullopt;
-  }
-  for (const JsonValue& item : reach->items) {
-    if (item.type == JsonValue::Type::kNull) {
-      out.record.user_reach_times.push_back(std::nullopt);
-    } else {
-      std::int64_t t = 0;
-      if (!item.as_i64(t)) {
-        error = "user_reach_times entries must be integers or null";
-        return std::nullopt;
-      }
-      out.record.user_reach_times.push_back(t);
-    }
   }
   const JsonValue* kernel = record->find("kernel");
-  if (kernel == nullptr || kernel->type != JsonValue::Type::kObject ||
-      !parse_kernel(*kernel, out.record.kernel, error)) {
-    if (error.empty()) error = "missing or invalid field 'kernel'";
+  if (kernel == nullptr || kernel->type != JsonValue::Type::kObject) {
+    error = "missing or invalid field 'kernel'";
     return std::nullopt;
+  }
+  for (const sim::KernelCounter& counter : sim::kKernelCounters) {
+    if (!get_field(*kernel, counter.key, r.kernel.*counter.member, error)) {
+      return std::nullopt;
+    }
   }
   return out;
 }
-
-// ---------------------------------------------------------------------
-// Shard merge
-// ---------------------------------------------------------------------
-
-namespace {
-
-bool same_campaign(const CampaignHeader& a, const CampaignHeader& b) {
-  return a.models == b.models && a.lambdas == b.lambdas && a.runs == b.runs &&
-         a.users == b.users && a.managers == b.managers &&
-         a.registries == b.registries && a.seed == b.seed &&
-         a.workload == b.workload;
-}
-
-}  // namespace
 
 std::optional<SweepResult> merge_jsonl(std::span<std::istream* const> shards,
                                        std::string& error) {
@@ -671,7 +558,9 @@ std::optional<SweepResult> merge_jsonl(std::span<std::istream* const> shards,
     return std::nullopt;
   }
 
-  std::optional<CampaignHeader> campaign;
+  std::optional<SweepConfig> campaign;
+  // The first shard's identity; every later header must match it.
+  std::vector<std::pair<const char*, std::string>> identity;
   SweepResult result;
   std::vector<metrics::StreamingSummary> summaries;
   // seen[point * runs + run] guards against duplicated lines.
@@ -685,13 +574,14 @@ std::optional<SweepResult> merge_jsonl(std::span<std::istream* const> shards,
       error = where + ": empty log";
       return std::nullopt;
     }
-    const auto header = parse_jsonl_header(line, error);
+    auto header = parse_jsonl_header(line, error);
     if (!header) {
       error = where + ": " + error;
       return std::nullopt;
     }
     if (!campaign) {
-      campaign = *header;
+      campaign = std::move(header);
+      identity = identity_json(*campaign);
       result.points.reserve(campaign->models.size() *
                             campaign->lambdas.size());
       for (const SystemModel model : campaign->models) {
@@ -704,19 +594,23 @@ std::optional<SweepResult> merge_jsonl(std::span<std::istream* const> shards,
           summaries.emplace_back(
               campaign->runs,
               metrics::update_metrics::kPaperGlobalMinimumMessages,
-              minimum_update_messages(model, campaign->users,
-                                      campaign->registries));
+              minimum_update_messages(model, campaign->topology.users,
+                                      campaign->topology.registries));
         }
       }
       seen.assign(result.points.size() *
                       static_cast<std::size_t>(campaign->runs),
                   0);
-    } else if (!same_campaign(*campaign, *header)) {
-      error = where +
-              ": header does not match the first shard's campaign "
-              "(models/lambdas/runs/topology/seed/workload "
-              "must agree)";
-      return std::nullopt;
+    } else {
+      const auto fields = identity_json(*header);
+      for (std::size_t f = 0; f < fields.size(); ++f) {
+        if (fields[f].second != identity[f].second) {
+          error = where + ": header field '" + fields[f].first + "' is " +
+                  fields[f].second + " but the first shard's campaign has " +
+                  identity[f].second;
+          return std::nullopt;
+        }
+      }
     }
 
     while (std::getline(in, line)) {

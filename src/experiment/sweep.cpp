@@ -1,5 +1,6 @@
 #include "sdcm/experiment/sweep.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <mutex>
@@ -81,29 +82,14 @@ std::optional<std::string> SweepConfig::validate() const {
   // one selected model, per the protocol descriptors; otherwise the
   // sweep silently runs the un-ablated protocol and the campaign labels
   // lie. Reject with a clear message instead.
-  const struct {
-    bool enabled;
-    AblationToggle toggle;
-  } toggles[] = {
-      {ablation.frodo_pr1, AblationToggle::kFrodoPr1},
-      {ablation.frodo_srn2, AblationToggle::kFrodoSrn2},
-      {ablation.frodo_pr3, AblationToggle::kFrodoPr3},
-      {ablation.frodo_pr4, AblationToggle::kFrodoPr4},
-      {ablation.frodo_pr5, AblationToggle::kFrodoPr5},
-      {ablation.upnp_pr4, AblationToggle::kUpnpPr4},
-      {ablation.upnp_pr5, AblationToggle::kUpnpPr5},
-  };
-  for (const auto& entry : toggles) {
-    if (entry.enabled) continue;
-    bool consumed = false;
-    for (const SystemModel model : models) {
-      if (protocol_descriptor(model).consumes(entry.toggle)) {
-        consumed = true;
-        break;
-      }
-    }
+  for (const AblationToggleRow& row : kAblationToggles) {
+    if (ablation.*row.member) continue;
+    const bool consumed =
+        std::any_of(models.begin(), models.end(), [&row](SystemModel model) {
+          return protocol_descriptor(model).consumes(row.toggle);
+        });
     if (!consumed) {
-      return "ablation disables '" + std::string(to_string(entry.toggle)) +
+      return "ablation disables '" + std::string(to_string(row.toggle)) +
              "' but no selected model implements that technique";
     }
   }

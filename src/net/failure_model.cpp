@@ -19,6 +19,17 @@ std::string_view to_string(FailureMode m) noexcept {
   return "unknown";
 }
 
+std::string_view to_string(FailurePlacement placement) noexcept {
+  return placement == FailurePlacement::kTruncated ? "truncated" : "fit";
+}
+
+std::optional<FailurePlacement> placement_from_name(
+    std::string_view name) noexcept {
+  if (name == "fit") return FailurePlacement::kFitInside;
+  if (name == "truncated") return FailurePlacement::kTruncated;
+  return std::nullopt;
+}
+
 std::vector<FailureEpisode> plan_failures(std::span<const NodeId> nodes,
                                           const FailurePlanConfig& config,
                                           sim::Random& rng) {

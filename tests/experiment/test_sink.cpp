@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
@@ -113,9 +114,9 @@ TEST(Sink, JsonlRoundTripsRunsExactly) {
   EXPECT_EQ(header->models, config.models);
   EXPECT_EQ(header->lambdas, config.lambdas);
   EXPECT_EQ(header->runs, config.runs);
-  EXPECT_EQ(header->users, config.topology.users);
-  EXPECT_EQ(header->seed, config.master_seed);
-  EXPECT_EQ(header->shard_count, 1u);
+  EXPECT_EQ(header->topology.users, config.topology.users);
+  EXPECT_EQ(header->master_seed, config.master_seed);
+  EXPECT_EQ(header->shard.count, 1u);
 
   std::size_t parsed = 0;
   while (std::getline(in, line)) {
@@ -204,6 +205,127 @@ TEST(Sink, MergeRejectsCorruptCampaigns) {
     std::istream* shards[] = {&in};
     EXPECT_FALSE(merge_jsonl(shards, error).has_value()) << field;
     EXPECT_NE(error.find(field), std::string::npos) << error;
+  }
+  {  // Shard index outside the shard count.
+    std::string bad = good;
+    const std::string index = "\"shard_index\":0,\"shard_count\":1";
+    const auto at = bad.find(index);
+    ASSERT_NE(at, std::string::npos);
+    bad.replace(at, index.size(), "\"shard_index\":7,\"shard_count\":2");
+    std::istringstream in(bad);
+    std::istream* shards[] = {&in};
+    EXPECT_FALSE(merge_jsonl(shards, error).has_value());
+    EXPECT_NE(error.find("shard index 7"), std::string::npos) << error;
+  }
+}
+
+TEST(Sink, MergeRejectsOutOfRangeIntegers) {
+  // Integers beyond int range are rejected where they are read, never
+  // narrowed: 2^32 + 1 would otherwise alias run 1, 2^32 + 2 runs 2.
+  auto config = tiny_config();
+  config.runs = 2;
+  std::ostringstream log;
+  JsonlSink sink(log);
+  config.sink = &sink;
+  (void)run_sweep(config);
+  const std::string good = log.str();
+  const auto replace_first = [&good](const std::string& from,
+                                     const std::string& to) {
+    std::string out = good;
+    const auto at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) out.replace(at, from.size(), to);
+    return out;
+  };
+  const struct {
+    std::string log;
+    const char* field;
+  } cases[] = {
+      {replace_first("\"run\":1,", "\"run\":4294967297,"), "'run'"},
+      {replace_first("\"runs\":2,", "\"runs\":4294967298,"), "'runs'"},
+  };
+  for (const auto& c : cases) {
+    std::string error;
+    std::istringstream in(c.log);
+    std::istream* shards[] = {&in};
+    EXPECT_FALSE(merge_jsonl(shards, error).has_value()) << c.field;
+    EXPECT_NE(error.find(c.field), std::string::npos) << error;
+  }
+}
+
+/// Changes one identity field to another valid value of its type.
+struct Perturb {
+  void operator()(std::vector<SystemModel>& models) const {
+    for (const SystemModel model : kAllModels) {
+      if (std::find(models.begin(), models.end(), model) == models.end()) {
+        models.push_back(model);
+        return;
+      }
+    }
+  }
+  void operator()(std::vector<double>& lambdas) const {
+    lambdas.back() += 0.125;
+  }
+  void operator()(int& value) const { value += 2; }
+  void operator()(std::int64_t& value) const { value += sim::seconds(1); }
+  void operator()(std::uint64_t& value) const { ++value; }
+  void operator()(double& value) const { value += 0.125; }
+  void operator()(bool& value) const { value = !value; }
+  void operator()(net::FailurePlacement& placement) const {
+    placement = placement == net::FailurePlacement::kFitInside
+                    ? net::FailurePlacement::kTruncated
+                    : net::FailurePlacement::kFitInside;
+  }
+  void operator()(WorkloadKind& kind) const {
+    kind = kind == WorkloadKind::kStatic ? WorkloadKind::kChurn
+                                         : WorkloadKind::kStatic;
+  }
+};
+
+TEST(Sink, MergeRefusesEveryIdentityFieldMismatch) {
+  // For every row of the campaign identity table, a second shard whose
+  // config differs in that one field must be refused, naming the key.
+  // Two bases between them admit a valid change of every field: the
+  // UPnP toggles need UPnP, a registry override needs registry models.
+  SweepConfig upnp_base;
+  upnp_base.models = {SystemModel::kUpnp, SystemModel::kFrodoThreeParty};
+  upnp_base.lambdas = {0.0, 0.3};
+  SweepConfig registry_base = upnp_base;
+  registry_base.models = {SystemModel::kFrodoThreeParty,
+                          SystemModel::kJiniTwoRegistries};
+
+  std::vector<std::string> keys;
+  for_each_identity_field(upnp_base, [&keys](const char* key, const auto&) {
+    keys.emplace_back(key);
+  });
+  ASSERT_GE(keys.size(), 30u);
+
+  for (std::size_t row = 0; row < keys.size(); ++row) {
+    bool refused = false;
+    for (const SweepConfig* base : {&upnp_base, &registry_base}) {
+      SweepConfig changed = *base;
+      std::size_t index = 0;
+      for_each_identity_field(changed, [&](const char*, auto& field) {
+        if (index++ == row) Perturb{}(field);
+      });
+      if (changed.validate().has_value()) continue;
+
+      // Header-only shards: the headers are compared before any run.
+      std::ostringstream log0, log1;
+      JsonlSink(log0).on_campaign_begin(*base, 0);
+      JsonlSink(log1).on_campaign_begin(changed, 0);
+
+      std::istringstream in0(log0.str()), in1(log1.str());
+      std::istream* shards[] = {&in0, &in1};
+      std::string error;
+      EXPECT_FALSE(merge_jsonl(shards, error).has_value()) << keys[row];
+      EXPECT_NE(error.find("'" + keys[row] + "'"), std::string::npos)
+          << keys[row] << ": " << error;
+      EXPECT_NE(error.find("first shard"), std::string::npos) << error;
+      refused = true;
+      break;
+    }
+    EXPECT_TRUE(refused) << "no valid change of '" << keys[row] << "'";
   }
 }
 

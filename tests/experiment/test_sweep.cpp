@@ -409,9 +409,9 @@ TEST(Sweep, MergeRefusesMixedMulticastScopes) {
     (void)run_sweep(config);
   }
   const std::string current = log.str();
-  const std::string v2 = "{\"sdcm_campaign\":2,";
-  ASSERT_EQ(current.rfind(v2, 0), 0u);
-  std::string old = "{\"sdcm_campaign\":1," + current.substr(v2.size());
+  const std::string v3 = "{\"sdcm_campaign\":3,";
+  ASSERT_EQ(current.rfind(v3, 0), 0u);
+  std::string old = "{\"sdcm_campaign\":1," + current.substr(v3.size());
   const auto shard_field = old.find(",\"shard_index\":");
   ASSERT_NE(shard_field, std::string::npos);
   old.insert(shard_field, ",\"multicast_scope\":\"scoped\"");
