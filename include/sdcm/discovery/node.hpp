@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "sdcm/net/network.hpp"
@@ -66,18 +67,21 @@ class Node : public net::MessageSink {
 
   /// Records a trace event at this node, parented to the ambient span
   /// (the message being handled, if any). Returns the new span id so the
-  /// caller can stamp outgoing messages or child records with it.
-  sim::SpanId trace(sim::TraceCategory category, std::string event,
-                    std::string detail = {}) {
-    return sim_.trace().record(sim_.now(), id_, category, std::move(event),
-                               std::move(detail));
+  /// caller can stamp outgoing messages or child records with it. The
+  /// detail pieces (e.g. "user=", user) are formatted only while the
+  /// log is recording (sim::append_detail).
+  template <typename... Pieces>
+  sim::SpanId trace(sim::TraceCategory category, std::string_view event,
+                    const Pieces&... detail) {
+    return sim_.trace().record(sim_.now(), id_, category, event, detail...);
   }
 
   /// Same, with an explicit causal parent.
+  template <typename... Pieces>
   sim::SpanId trace_child(sim::SpanId parent, sim::TraceCategory category,
-                          std::string event, std::string detail = {}) {
-    return sim_.trace().record_child(parent, sim_.now(), id_, category,
-                                     std::move(event), std::move(detail));
+                          std::string_view event, const Pieces&... detail) {
+    return sim_.trace().record_child(parent, sim_.now(), id_, category, event,
+                                     detail...);
   }
 
   /// Builds an outgoing message stamped with this node as the source.
@@ -102,7 +106,7 @@ class Node : public net::MessageSink {
   /// net::TcpConnection).
   void send_unicast(net::Message m, NodeId dst) {
     m.dst = dst;
-    net_.send(m);
+    net_.send(std::move(m));
   }
 
  private:

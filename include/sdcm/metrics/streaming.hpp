@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sdcm/metrics/update_metrics.hpp"
@@ -47,14 +48,17 @@ class StreamingMoments {
 ///
 /// Everything else - kernel counters, window-message moments - folds
 /// online. Memory per point: one double per (run, user) sample plus one
-/// uint64 per run, instead of whole RunRecords with their heap vectors.
+/// (index, y(i)) pair per added run, instead of whole RunRecords with
+/// their heap vectors. Storage follows the runs actually added, never
+/// the largest run index, so a stray huge index costs one pair.
 ///
 /// Not internally synchronized: run_sweep serializes add() calls.
 class StreamingSummary {
  public:
   StreamingSummary() = default;
-  /// `expected_runs` sizes the per-run slots (grows on demand); m and
-  /// m_prime are the efficiency baselines of update_metrics::summarize.
+  /// `expected_runs` pre-reserves the per-run storage (it grows on
+  /// demand past it); m and m_prime are the efficiency baselines of
+  /// update_metrics::summarize.
   StreamingSummary(int expected_runs, std::uint64_t m, std::uint64_t m_prime);
 
   /// Folds one completed run in. `run_index` is the run's stable index
@@ -80,10 +84,10 @@ class StreamingSummary {
   std::uint64_t m_prime_ = update_metrics::kPaperGlobalMinimumMessages;
   /// 1 - L(i, j) for every (run, user); order irrelevant (median sorts).
   std::vector<double> latency_complements_;
-  /// y(i) per run index; `present_` marks filled slots (sharded sweeps
-  /// execute only a subset of a point's runs).
-  std::vector<std::uint64_t> window_messages_;
-  std::vector<std::uint8_t> present_;
+  /// (run index, y(i)) per added run, in add order; finalize replays
+  /// them in index order (sharded sweeps add only a subset of a point's
+  /// runs).
+  std::vector<std::pair<int, std::uint64_t>> window_messages_;
   std::uint64_t users_total_ = 0;
   std::uint64_t users_reached_ = 0;
   int runs_added_ = 0;

@@ -57,11 +57,12 @@ class TcpConnection;  // defined in tcp.hpp
 /// Protocol message envelope. Payloads are protocol-defined structs
 /// carried by a small-buffer/shared Payload (see payload.hpp); the
 /// interned `type` atom names the operation (e.g. "frodo.ServiceUpdate")
-/// and is what traces, counters and tests key on. The envelope is
-/// designed to fan out allocation-free: copying a Message for each
-/// multicast receiver copies POD fields, memcpys an inline payload or
-/// bumps a shared payload's refcount - never a heap string, never a
-/// deep std::any clone.
+/// and is what traces, counters and tests key on. The envelope fans
+/// out allocation-free: the Network keeps one copy per wire copy in its
+/// in-flight slab and every receiver reads it in place, and copying a
+/// Message copies POD fields, memcpys an inline payload or bumps a
+/// shared payload's refcount - never a heap string, never a deep
+/// std::any clone.
 struct Message {
   NodeId src = sim::kNoNode;
   NodeId dst = sim::kNoNode;

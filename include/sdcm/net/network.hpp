@@ -58,6 +58,20 @@ class MessageSink {
   }
 };
 
+/// The TCP segment kinds whose outcome a connection waits for.
+enum class Segment : std::uint8_t { kSyn, kSynAck, kData, kAck };
+
+/// Where a transmitted segment's outcome goes: the owning connection,
+/// the segment kind and, for data and ack segments, the index of the
+/// transfer inside the connection. An empty completion (no connection)
+/// is a plain datagram. Copying one bumps a refcount and never
+/// allocates, so it rides in the in-flight slab with the segment.
+struct SegmentCompletion {
+  std::shared_ptr<TcpConnection> conn;
+  Segment kind = Segment::kData;
+  std::uint32_t transfer = 0;
+};
+
 /// Kept only for perfbench/driver.cpp, which still selects this mode.
 enum class MulticastScope : std::uint8_t { kScopedRng };
 
@@ -139,7 +153,7 @@ class Network {
   void reserve_nodes(NodeId max_id);
 
   /// UDP unicast: fire and forget.
-  void send(const Message& msg);
+  void send(Message msg);
 
   /// UDP multicast to every attached node, other than the source, that
   /// subscribes to msg.type (MessageSink::multicast_interests; universal
@@ -170,14 +184,13 @@ class Network {
   [[nodiscard]] bool check_subscription_index();
 
   /// Low-level single wire transmission used by the TCP model: counts the
-  /// segment iff the transmitter is up, draws a delay, and invokes
-  /// `on_result(delivered)` at the arrival time. If `deliver` is true and
-  /// the segment was accepted, the destination handler also runs (before
-  /// on_result).
+  /// segment iff the transmitter is up, draws a delay, and at the arrival
+  /// time reports `delivered` to `done`'s connection (when it has one).
+  /// If `deliver` is true and the segment was accepted, the destination
+  /// handler also runs (before the completion).
   /// Returns whether the segment reached the wire (source transmitter was
   /// up) - for accounting only, not something a real sender could observe.
-  bool transmit(Message msg, bool deliver,
-                std::function<void(bool delivered)> on_result);
+  bool transmit(Message msg, bool deliver, SegmentCompletion done = {});
 
   /// Hands a message straight to the destination handler at the current
   /// time, bypassing interfaces and counters. Used by the TCP model for
@@ -274,12 +287,38 @@ class Network {
   [[nodiscard]] std::uint32_t intern_interest_set(
       const std::vector<MessageType>& types);
 
-  /// Fire-time body of one multicast delivery: stack-copies the shared
-  /// wire copy (stamping dst), probes, applies rx/loss accounting, and
-  /// dispatches. The scheduling closure captures only {this, wire, dst,
-  /// lost} so it fits InlineCallback's buffer.
-  void deliver_multicast_copy(const std::shared_ptr<const Message>& wire,
-                              NodeId dst, bool lost);
+  /// One message on the wire, held in the in-flight slab from send to
+  /// its last arrival (DESIGN.md section 15).
+  struct InFlight {
+    Message msg;
+    /// Unicast only: the TCP completion and whether to run the handler.
+    SegmentCompletion done;
+    bool deliver = false;
+    /// Multicast only: deliveries still scheduled for this wire copy.
+    std::uint32_t refs = 0;
+  };
+
+  /// Parks `msg` in a free slab slot and returns the slot index.
+  std::uint32_t hold(Message msg);
+  /// Drops the slot's payload and connection references and frees it.
+  void release(std::uint32_t slot);
+  [[nodiscard]] InFlight& flight(std::uint32_t slot) noexcept {
+    return in_flight_[slot / kSlabChunk][slot % kSlabChunk];
+  }
+
+  /// Fire-time body of one unicast arrival: probes, applies rx/loss
+  /// accounting, dispatches the slot's message in place, reports the
+  /// TCP completion and frees the slot. The scheduling closure captures
+  /// only {this, slot, lost} so it fits InlineCallback's buffer.
+  void land_unicast(std::uint32_t slot, bool lost);
+
+  /// Fire-time body of one multicast delivery: stamps dst on the slot's
+  /// wire copy, probes, applies rx/loss accounting, dispatches in place
+  /// and drops one reference.
+  void deliver_multicast_copy(std::uint32_t slot, NodeId dst, bool lost);
+
+  /// Reports a segment's outcome to its connection, inside `span`.
+  void complete(const SegmentCompletion& done, sim::SpanId span, bool ok);
 
   /// Token-bucket admission for one wire copy leaving `src` now: the
   /// shaping delay to add to the copy's transit delay (0 when a token
@@ -321,6 +360,13 @@ class Network {
   /// How many order_ entries have had their interests resolved; attach
   /// only appends, so the unresolved tail is order_[resolved_upto_..].
   std::size_t resolved_upto_ = 0;
+
+  /// The in-flight slab, in fixed-size chunks so a slot never moves: a
+  /// handler reads its message in place while it sends more. Free slot
+  /// indices are reused LIFO.
+  static constexpr std::uint32_t kSlabChunk = 64;
+  std::vector<std::unique_ptr<InFlight[]>> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
 };
 
 }  // namespace sdcm::net

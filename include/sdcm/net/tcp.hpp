@@ -1,8 +1,11 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sdcm/net/network.hpp"
@@ -26,9 +29,11 @@ namespace sdcm::net {
 /// handler with `Message::conn` set, so request/response protocols can
 /// reply on the same connection.
 struct TcpConfig {
-  /// Gaps between successive connection-setup attempts. REX fires after
-  /// the last gap elapses without a completed handshake.
-  std::vector<sim::SimDuration> setup_retry_delays{
+  /// Gaps between successive connection-setup attempts (one
+  /// retransmission after each). REX fires after the last gap elapses
+  /// without a completed handshake. A fixed-size array keeps the config
+  /// trivially copyable: every connection copies it.
+  std::array<sim::SimDuration, 4> setup_retry_delays{
       sim::seconds(6), sim::seconds(24), sim::seconds(24), sim::seconds(24)};
   /// First data-retransmission timeout. Table 3 says "round trip time";
   /// with one-way delays <= 100 us the worst-case RTT is 200 us, so the
@@ -37,8 +42,20 @@ struct TcpConfig {
   sim::SimDuration initial_rto = sim::microseconds(400);
   double rto_backoff = 1.25;
 };
+static_assert(std::is_trivially_copyable_v<TcpConfig>);
 
+/// One connection costs one allocation: the object and its shared_ptr
+/// control block together, with the first kInlineTransfers transfers
+/// (a request and its response) stored inline. Segment outcomes come
+/// back from the Network as typed SegmentCompletions, and timers
+/// capture {self, index} - nothing in the exchange boxes a closure.
 class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
+  /// Constructor key: lets std::make_shared reach the constructor while
+  /// keeping construction private to open().
+  struct Key {
+    explicit Key() = default;
+  };
+
  public:
   using Config = TcpConfig;
 
@@ -63,6 +80,8 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   static void open_and_send(Network& network, Message msg, AckCallback on_acked,
                             RexCallback on_rex, TcpConfig config = {});
 
+  TcpConnection(Key, Network& network, NodeId initiator, NodeId responder,
+                const Config& config, sim::SpanId span);
   ~TcpConnection() = default;
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
@@ -85,11 +104,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   }
 
  private:
-  TcpConnection(Network& network, NodeId initiator, NodeId responder,
-                Config config);
-
-  void attempt_handshake(std::size_t attempt);
-  void handshake_succeeded();
+  friend class Network;  // reports segment outcomes via on_segment
 
   struct Transfer {
     Message msg;
@@ -100,8 +115,23 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
     bool acked = false;
     sim::EventId retransmit_timer = sim::kInvalidEventId;
   };
+  static constexpr std::uint32_t kInlineTransfers = 2;
 
-  void transfer_attempt(const std::shared_ptr<Transfer>& t);
+  /// Schedules the REX deadline and sends the first SYN.
+  void start();
+  void attempt_handshake(std::size_t attempt);
+  void handshake_succeeded();
+
+  /// Appends a transfer (span and first timeout resolved now) and
+  /// returns its index; does not put anything on the wire.
+  std::uint32_t add_transfer(Message msg, AckCallback on_acked);
+  [[nodiscard]] Transfer& transfer(std::uint32_t index);
+  void transfer_attempt(std::uint32_t index);
+
+  /// The Network's report of one segment's outcome.
+  void on_segment(Segment kind, std::uint32_t index, bool delivered);
+  void data_arrived(std::uint32_t index);
+  void ack_arrived(std::uint32_t index);
 
   Network& net_;
   NodeId initiator_;
@@ -116,8 +146,19 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   bool opened_ = false;
   bool rexed_ = false;
   bool closed_ = false;
+  /// Set by open_and_send: transfer 0 is queued and starts at open.
+  bool send_on_open_ = false;
   sim::EventId next_attempt_timer_ = sim::kInvalidEventId;
   sim::EventId rex_timer_ = sim::kInvalidEventId;
+  std::uint32_t transfer_count_ = 0;
+  std::array<Transfer, kInlineTransfers> inline_transfers_;
+  /// Transfers past the inline ones (long-lived connections only).
+  /// Indices stay valid for the connection's lifetime (late duplicates
+  /// look them up), so entries are never reused: a connection used for
+  /// many send()s grows by one Transfer per send. An acknowledged
+  /// transfer drops its payload and callback, so what is kept is the
+  /// fixed-size bookkeeping only.
+  std::vector<Transfer> more_transfers_;
 };
 
 }  // namespace sdcm::net

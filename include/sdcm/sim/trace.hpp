@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sdcm/sim/kernel_stats.hpp"
@@ -59,6 +60,29 @@ struct TraceRecord {
   std::string detail;  // free-form context, e.g. "to=3 version=2 try=1"
 };
 
+/// Appends one trace-detail piece to `out`, spelled exactly as the
+/// string concatenations it replaces: integers in decimal
+/// (std::to_string), string-like pieces verbatim, and anything with a
+/// str() spelling - interned net::MessageType atoms - by that spelling.
+template <typename Piece>
+void append_detail(std::string& out, const Piece& piece) {
+  if constexpr (std::is_convertible_v<const Piece&, std::string_view>) {
+    out += std::string_view(piece);
+  } else if constexpr (std::is_integral_v<Piece>) {
+    static_assert(!std::is_same_v<Piece, bool> && !std::is_same_v<Piece, char>,
+                  "spell bools and chars as string pieces");
+    out += std::to_string(piece);
+  } else {
+    out += piece.str();
+  }
+}
+
+/// A time detail piece, spelled by format_time only when recorded.
+struct TimeDetail {
+  SimTime at;
+  [[nodiscard]] std::string str() const { return format_time(at); }
+};
+
 /// Streaming consumer of trace records (see obs::JsonlTraceWriter).
 /// on_record is called synchronously from TraceLog::record, in record
 /// order, for every record - including when in-memory storage is off.
@@ -107,13 +131,25 @@ class TraceLog {
 
   /// Appends a record parented to the current ambient span (see
   /// SpanScope) and returns its span id; kNoSpan when not recording.
+  /// The detail is given as pieces - e.g. ("user=", user, " reason=",
+  /// reason) - that are concatenated (append_detail) only when
+  /// recording, so an untraced run builds no detail strings at all.
+  template <typename... Pieces>
   SpanId record(SimTime at, NodeId node, TraceCategory category,
-                std::string event, std::string detail = {});
+                std::string_view event, const Pieces&... detail) {
+    return record_child(ambient_, at, node, category, event, detail...);
+  }
 
   /// Appends a record with an explicit causal parent.
+  template <typename... Pieces>
   SpanId record_child(SpanId parent, SimTime at, NodeId node,
-                      TraceCategory category, std::string event,
-                      std::string detail = {});
+                      TraceCategory category, std::string_view event,
+                      const Pieces&... detail) {
+    if (!recording_) return kNoSpan;
+    std::string text;
+    (append_detail(text, detail), ...);
+    return append(parent, at, node, category, event, std::move(text));
+  }
 
   /// The ambient parent span applied to `record` calls; managed by
   /// SpanScope around message-delivery handlers.
@@ -172,6 +208,9 @@ class TraceLog {
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
  private:
+  SpanId append(SpanId parent, SimTime at, NodeId node,
+                TraceCategory category, std::string_view event,
+                std::string detail);
   void mix(const void* data, std::size_t n) noexcept;
 
   bool recording_ = true;

@@ -9,6 +9,7 @@
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "json_util.hpp"
@@ -563,8 +564,11 @@ std::optional<SweepResult> merge_jsonl(std::span<std::istream* const> shards,
   std::vector<std::pair<const char*, std::string>> identity;
   SweepResult result;
   std::vector<metrics::StreamingSummary> summaries;
-  // seen[point * runs + run] guards against duplicated lines.
-  std::vector<std::uint8_t> seen;
+  // point * runs + run of every run line so far, against duplicates.
+  // Sized by the lines actually read, never by the header's `runs`: a
+  // huge but valid header must not allocate points x runs up front.
+  std::unordered_set<std::uint64_t> seen;
+  std::uint64_t expected_runs = 0;
 
   for (std::size_t s = 0; s < shards.size(); ++s) {
     std::istream& in = *shards[s];
@@ -592,15 +596,14 @@ std::optional<SweepResult> merge_jsonl(std::span<std::istream* const> shards,
           point.lambda_index = li;
           result.points.push_back(std::move(point));
           summaries.emplace_back(
-              campaign->runs,
+              /*expected_runs=*/0,
               metrics::update_metrics::kPaperGlobalMinimumMessages,
               minimum_update_messages(model, campaign->topology.users,
                                       campaign->topology.registries));
         }
       }
-      seen.assign(result.points.size() *
-                      static_cast<std::size_t>(campaign->runs),
-                  0);
+      expected_runs = result.points.size() *
+                      static_cast<std::uint64_t>(campaign->runs);
     } else {
       const auto fields = identity_json(*header);
       for (std::size_t f = 0; f < fields.size(); ++f) {
@@ -631,16 +634,15 @@ std::optional<SweepResult> merge_jsonl(std::span<std::istream* const> shards,
                 "index";
         return std::nullopt;
       }
-      const std::size_t key =
-          run->point_index * static_cast<std::size_t>(campaign->runs) +
-          static_cast<std::size_t>(run->run);
-      if (seen[key] != 0) {
+      const std::uint64_t key =
+          run->point_index * static_cast<std::uint64_t>(campaign->runs) +
+          static_cast<std::uint64_t>(run->run);
+      if (!seen.insert(key).second) {
         error = where + ": duplicate run (point " +
                 std::to_string(run->point_index) + ", run " +
                 std::to_string(run->run) + ")";
         return std::nullopt;
       }
-      seen[key] = 1;
 
       summaries[run->point_index].add(run->run, run->record);
       ++result.summary.runs_completed;
@@ -650,12 +652,10 @@ std::optional<SweepResult> merge_jsonl(std::span<std::istream* const> shards,
     }
   }
 
-  std::uint64_t missing = 0;
-  for (const std::uint8_t flag : seen) missing += flag == 0 ? 1 : 0;
-  if (missing != 0) {
-    error = "merged shards cover only " +
-            std::to_string(seen.size() - missing) + " of " +
-            std::to_string(seen.size()) + " runs (missing a shard?)";
+  if (seen.size() != expected_runs) {
+    error = "merged shards cover only " + std::to_string(seen.size()) +
+            " of " + std::to_string(expected_runs) +
+            " runs (missing a shard?)";
     return std::nullopt;
   }
 

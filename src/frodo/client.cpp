@@ -75,7 +75,7 @@ void FrodoClient::central_heard(NodeId node, std::uint64_t epoch) {
     central_epoch_ = epoch;
     arm_silence_timer();
     trace(sim::TraceCategory::kDiscovery, "frodo.central.discovered",
-          "central=" + std::to_string(node));
+          "central=", node);
     on_central_discovered();
     return;
   }
@@ -91,8 +91,7 @@ void FrodoClient::central_heard(NodeId node, std::uint64_t epoch) {
     central_epoch_ = epoch;
     arm_silence_timer();
     trace(sim::TraceCategory::kElection, "frodo.central.switched",
-          "central=" + std::to_string(node) +
-              " epoch=" + std::to_string(epoch));
+          "central=", node, " epoch=", epoch);
     on_central_changed();
   }
 }
@@ -113,7 +112,7 @@ void FrodoClient::arm_silence_timer() {
 void FrodoClient::lose_central() {
   if (central_ == sim::kNoNode) return;
   trace(sim::TraceCategory::kDiscovery, "frodo.central.lost",
-        "central=" + std::to_string(central_));
+        "central=", central_);
   central_ = sim::kNoNode;
   on_central_lost();
   // Resume announcing until a (possibly new) Central is found.

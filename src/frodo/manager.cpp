@@ -115,15 +115,14 @@ void FrodoManager::register_service(ServiceId service) {
   m.bytes = 48 + discovery::wire_size(state.sd);
   m.payload = Register{token, id(), device_class(), state.sd, state.critical};
   m.span = trace(sim::TraceCategory::kDiscovery, "frodo.register.tx",
-                 "service=" + std::to_string(service) +
-                     " version=" + std::to_string(state.sd.version));
+                 "service=", service, " version=", state.sd.version);
   channel().send(token, std::move(m), srn1_options(), /*on_acked=*/{},
                  /*on_failed=*/[this, service] {
                    auto& st = services_.at(service);
                    st.registered = false;
                    trace(sim::TraceCategory::kDiscovery,
                          "frodo.register.failed",
-                         "service=" + std::to_string(service));
+                         "service=", service);
                  });
 }
 
@@ -179,7 +178,7 @@ void FrodoManager::renew_registration(ServiceId service) {
         if (st.central_stale && st.pending_central_update == 0) {
           const sim::SpanId retry = trace(
               sim::TraceCategory::kUpdate, "frodo.update.central_retry",
-              "service=" + std::to_string(service));
+              "service=", service);
           sim::SpanScope scope(simulator().trace(), retry);
           send_update_to_central(service);
         }
@@ -225,8 +224,7 @@ void FrodoManager::change_service(ServiceId service,
   state.last_change = now();
   const sim::SpanId change_span =
       trace(sim::TraceCategory::kUpdate, "frodo.service_changed",
-            "service=" + std::to_string(service) +
-                " version=" + std::to_string(state.sd.version));
+            "service=", service, " version=", state.sd.version);
   // Everything the change triggers - the Central update and the per-User
   // notifications - descends from this record, making the fan-out a tree.
   sim::SpanScope change_scope(simulator().trace(), change_span);
@@ -294,7 +292,7 @@ void FrodoManager::send_update_to_central(ServiceId service) {
         st.pending_central_update = 0;
         st.central_stale = true;
         trace(sim::TraceCategory::kUpdate, "frodo.update.central_failed",
-              "service=" + std::to_string(service));
+              "service=", service);
       });
 }
 
@@ -340,9 +338,8 @@ void FrodoManager::send_update_to_user(ServiceId service, NodeId user) {
     m.payload = ServiceUpdate{token, state.sd, state.critical, false};
   }
   m.span = trace(sim::TraceCategory::kUpdate, "frodo.update.tx",
-                 "user=" + std::to_string(user) + " version=" +
-                     std::to_string(version) +
-                     (invalidate ? " invalidation" : ""));
+                 "user=", user, " version=", version,
+                 invalidate ? " invalidation" : "");
   if (observer_ != nullptr) {
     observer_->notification_sent(id(), user, version, now());
   }
@@ -370,7 +367,7 @@ void FrodoManager::send_update_to_user(ServiceId service, NodeId user) {
           // subscription renewal proves it is reachable again.
           entry->inconsistent_since = version;
           trace(sim::TraceCategory::kUpdate, "frodo.srn2.marked",
-                "user=" + std::to_string(user));
+                "user=", user);
         }
       });
 }
@@ -444,7 +441,7 @@ void FrodoManager::handle_subscription_request(const Message& m) {
     observer_->lease_granted(id(), req.user, sub.lease.expires_at(), now());
   }
   trace(sim::TraceCategory::kSubscription, "frodo.subscribed",
-        "user=" + std::to_string(req.user));
+        "user=", req.user);
 
   Message ack;
   ack.src = id();
@@ -481,7 +478,7 @@ void FrodoManager::handle_subscription_renew(const Message& m) {
     req.payload = ResubscribeRequest{renew.token, renew.service};
     req.span = trace(sim::TraceCategory::kSubscription,
                      "frodo.resubscribe.request",
-                     "user=" + std::to_string(renew.user));
+                     "user=", renew.user);
     SDCM_OBS_ONLY(simulator().obs().counter("recovery.frodo.pr4").inc());
     network().send(req);
     return;
@@ -502,7 +499,7 @@ void FrodoManager::handle_subscription_renew(const Message& m) {
       sub.inconsistent_since == state.sd.version && sub.pending_update == 0) {
     const sim::SpanId retry =
         trace(sim::TraceCategory::kUpdate, "frodo.srn2.retry",
-              "user=" + std::to_string(renew.user));
+              "user=", renew.user);
     SDCM_OBS_ONLY(simulator().obs().counter("recovery.frodo.srn2").inc());
     sim::SpanScope scope(simulator().trace(), retry);
     send_update_to_user(renew.service, renew.user);
@@ -546,7 +543,7 @@ void FrodoManager::purge_subscriber(ServiceId service, NodeId user,
   it->second.erase(user);
   if (observer_ != nullptr) observer_->lease_dropped(id(), user, now());
   trace(sim::TraceCategory::kSubscription, "frodo.subscriber.purged",
-        "user=" + std::to_string(user) + " reason=" + reason);
+        "user=", user, " reason=", reason);
 }
 
 }  // namespace sdcm::frodo

@@ -91,7 +91,7 @@ void FrodoRegistryNode::become_central(std::uint64_t epoch) {
   known_central_ = id();
   known_epoch_ = epoch;
   trace(sim::TraceCategory::kElection, "frodo.central.elected",
-        "epoch=" + std::to_string(epoch));
+        "epoch=", epoch);
 
   // If we were the Backup, install the synced configuration with fresh
   // leases (Section 3: "the Backup takes over automatically").
@@ -156,7 +156,7 @@ void FrodoRegistryNode::monitor_tick() {
   if (role_ == Role::kBackup &&
       silence > config_.backup_miss_threshold * period) {
     trace(sim::TraceCategory::kElection, "frodo.backup.takeover",
-          "silence=" + sim::format_time(silence));
+          "silence=", sim::TimeDetail{silence});
     monitor_timer_.stop();
     become_central(known_epoch_ + 1);
   } else if (role_ == Role::kStandby &&
@@ -194,7 +194,7 @@ void FrodoRegistryNode::appoint_backup() {
                 [this, best] {
                   backup_ = best;
                   trace(sim::TraceCategory::kElection, "frodo.backup.assigned",
-                        "backup=" + std::to_string(best));
+                        "backup=", best);
                   sync_backup();
                 });
 }
@@ -280,7 +280,7 @@ void FrodoRegistryNode::handle_central_announce(const Message& m) {
     if (outranks(ann.epoch, ann.capability, ann.central, epoch_, capability_,
                  id())) {
       trace(sim::TraceCategory::kElection, "frodo.central.demoted",
-            "to=" + std::to_string(ann.central));
+            "to=", ann.central);
       announce_timer_.stop();
       known_central_ = ann.central;
       known_epoch_ = ann.epoch;
@@ -350,7 +350,7 @@ void FrodoRegistryNode::handle_backup_assign(const Message& m) {
   known_epoch_ = assign.epoch;
   last_central_heard_ = now();
   trace(sim::TraceCategory::kElection, "frodo.backup.accepted",
-        "central=" + std::to_string(assign.central));
+        "central=", assign.central);
   SDCM_PROFILE_TIMER(monitor_timer_, "timer.frodo.monitor");
   monitor_timer_.start(
       simulator(), config_.announce_period,
@@ -398,9 +398,8 @@ void FrodoRegistryNode::handle_register(const Message& m) {
   reg.history[reg.sd.version] = reg.sd;
   arm_registration_expiry(reg_msg.sd.id);
   trace(sim::TraceCategory::kDiscovery, "frodo.registered",
-        "service=" + std::to_string(reg_msg.sd.id) +
-            " version=" + std::to_string(reg_msg.sd.version) +
-            (inserted ? " new" : " refresh"));
+        "service=", reg_msg.sd.id, " version=", reg_msg.sd.version,
+        inserted ? " new" : " refresh");
 
   Message ack;
   ack.src = id();
@@ -483,8 +482,7 @@ void FrodoRegistryNode::handle_service_update(const Message& m) {
   if (newer) {
     const sim::SpanId stored =
         trace(sim::TraceCategory::kUpdate, "frodo.update.stored",
-              "service=" + std::to_string(update.sd.id) +
-                  " version=" + std::to_string(update.sd.version));
+              "service=", update.sd.id, " version=", update.sd.version);
     // The Central's fan-out to the subscribed Users descends from the
     // stored update, which itself descends from the Manager's send.
     sim::SpanScope scope(simulator().trace(), stored);
@@ -511,8 +509,7 @@ void FrodoRegistryNode::propagate_update(ServiceId service) {
     m.bytes = discovery::wire_size(reg.sd);
     m.payload = ServiceUpdate{token, reg.sd, reg.critical};
     m.span = trace(sim::TraceCategory::kUpdate, "frodo.update.tx",
-                   "user=" + std::to_string(user) +
-                       " version=" + std::to_string(reg.sd.version));
+                   "user=", user, " version=", reg.sd.version);
     if (observer_ != nullptr) {
       observer_->notification_sent(id(), user, reg.sd.version, now());
     }
@@ -549,8 +546,7 @@ void FrodoRegistryNode::notify_interest(NodeId user, ServiceId service) {
   m.bytes = 48 + discovery::wire_size(reg.sd);
   m.payload = ServiceNotification{token, reg.sd, reg.manager_class};
   m.span = trace(sim::TraceCategory::kUpdate, "frodo.notify.tx",
-                 "user=" + std::to_string(user) +
-                     " version=" + std::to_string(reg.sd.version));
+                 "user=", user, " version=", reg.sd.version);
   SDCM_OBS_ONLY(if (reg.sd.version > 1) {
     // A version the User may have missed is being pushed by interest
     // notification: that is PR1 doing recovery, not plain discovery.
@@ -605,7 +601,7 @@ void FrodoRegistryNode::handle_subscription_request(const Message& m) {
     observer_->lease_granted(id(), req.user, sub.lease.expires_at(), now());
   }
   trace(sim::TraceCategory::kSubscription, "frodo.subscribed",
-        "user=" + std::to_string(req.user));
+        "user=", req.user);
   sync_backup();
 
   Message ack;
@@ -654,7 +650,7 @@ void FrodoRegistryNode::handle_subscription_renew(const Message& m) {
   req.payload = ResubscribeRequest{renew.token, renew.service};
   req.span = trace(sim::TraceCategory::kSubscription,
                    "frodo.resubscribe.request",
-                   "user=" + std::to_string(renew.user));
+                   "user=", renew.user);
   SDCM_OBS_ONLY(simulator().obs().counter("recovery.frodo.pr3").inc());
   network().send(req);
 }
@@ -704,7 +700,7 @@ void FrodoRegistryNode::purge_registration(ServiceId service) {
   const discovery::ServiceDescription sd = it->second.sd;
   registrations_.erase(it);
   trace(sim::TraceCategory::kLease, "frodo.registration.purged",
-        "service=" + std::to_string(service));
+        "service=", service);
   // Feed PR5: tell every User that cares (3-party subscribers and, for
   // 2-party services, interested Users - the Central cannot see direct
   // subscriptions) that the Manager was purged; they purge the
@@ -740,7 +736,7 @@ void FrodoRegistryNode::purge_subscription(ServiceId service, NodeId user) {
   if (it->second.erase(user) > 0) {
     if (observer_ != nullptr) observer_->lease_dropped(id(), user, now());
     trace(sim::TraceCategory::kLease, "frodo.subscription.purged",
-          "user=" + std::to_string(user));
+          "user=", user);
     sync_backup();
   }
 }

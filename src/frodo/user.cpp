@@ -239,8 +239,7 @@ void FrodoUser::adopt(const ServiceDescription& sd,
   manager_class_ = manager_class;
   stop_search();
   trace(sim::TraceCategory::kDiscovery, "frodo.manager.discovered",
-        "manager=" + std::to_string(manager_) + " class=" +
-            std::string(to_string(manager_class)));
+        "manager=", manager_, " class=", to_string(manager_class));
   store_sd(sd, critical_);
   if (!subscribed_ && !subscribe_in_flight_) subscribe();
 }
@@ -258,7 +257,7 @@ void FrodoUser::store_sd(const ServiceDescription& sd, bool critical) {
   sd_ = sd;
   if (observer_ != nullptr) observer_->user_version(id(), sd.version, now());
   trace(sim::TraceCategory::kUpdate, "frodo.description.stored",
-        "version=" + std::to_string(sd.version));
+        "version=", sd.version);
   // SRC2: a critical service requires the complete view; request any
   // versions the sequence numbers show we missed.
   if (critical_) request_missing_versions(sd.id);
@@ -275,7 +274,7 @@ void FrodoUser::fetch_invalidated_version() {
   m.bytes = 64;
   m.payload = UpdateRequest{id(), sd_->id, invalidated_version_};
   trace(sim::TraceCategory::kUpdate, "frodo.invalidation.fetch",
-        "from=" + std::to_string(invalidated_version_));
+        "from=", invalidated_version_);
   network().send(m);
 }
 
@@ -290,7 +289,7 @@ void FrodoUser::request_missing_versions(ServiceId service) {
   }
   if (first_missing == 0) return;
   trace(sim::TraceCategory::kUpdate, "frodo.src2.request",
-        "from=" + std::to_string(first_missing));
+        "from=", first_missing);
   Message m;
   m.src = id();
   m.dst = two_party() ? manager_ : central();
@@ -318,7 +317,7 @@ void FrodoUser::subscribe() {
   m.klass = MessageClass::kControl;
   m.payload = SubscriptionRequest{token, id(), sd_->id, sd_->version};
   trace(sim::TraceCategory::kSubscription, "frodo.subscribe.tx",
-        "to=" + std::to_string(lessor));
+        "to=", lessor);
   channel().send(token, std::move(m), srn1_options(), /*on_acked=*/{},
                  /*on_failed=*/[this] {
                    subscribe_in_flight_ = false;

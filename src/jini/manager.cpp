@@ -88,7 +88,7 @@ void JiniManager::registry_heard(NodeId registry) {
 
   if (inserted) {
     trace(sim::TraceCategory::kDiscovery, "jini.registry.discovered",
-          "registry=" + std::to_string(registry));
+          "registry=", registry);
     // Register everything with the newly discovered lookup service. If a
     // service changed while we were out of touch, this re-registration
     // carries the new version - PR1 in action.
@@ -120,8 +120,7 @@ void JiniManager::purge_registry(NodeId registry, const char* reason) {
   }
   registries_.erase(registry);
   trace(sim::TraceCategory::kDiscovery, "jini.registry.purged",
-        std::string("registry=") + std::to_string(registry) +
-            " reason=" + reason);
+        "registry=", registry, " reason=", reason);
   // Rediscovery relies on the lookup service's periodic announcements.
 }
 
@@ -137,8 +136,7 @@ void JiniManager::register_service(NodeId registry, ServiceId service) {
   m.bytes = 48 + discovery::wire_size(svc_it->second);
   m.payload = Register{id(), svc_it->second};
   m.span = trace(sim::TraceCategory::kUpdate, "jini.register.tx",
-                 "registry=" + std::to_string(registry) +
-                     " version=" + std::to_string(svc_it->second.version));
+                 "registry=", registry, " version=", svc_it->second.version);
   net::TcpConnection::open_and_send(
       network(), std::move(m), {},
       [this, registry] { purge_registry(registry, "register-rex"); },
@@ -196,7 +194,7 @@ void JiniManager::handle_renew_response(const Message& m) {
     // Registration expired at the lookup service: re-register with the
     // current description (PR1 when the version moved meanwhile).
     trace(sim::TraceCategory::kLease, "jini.renew.lapsed",
-          "registry=" + std::to_string(registry));
+          "registry=", registry);
     SDCM_OBS_ONLY(simulator().obs().counter("recovery.jini.pr1").inc());
     register_service(registry, service);
   }
@@ -216,8 +214,7 @@ void JiniManager::change_service(ServiceId service,
   ++it->second.version;
   const sim::SpanId change_span =
       trace(sim::TraceCategory::kUpdate, "jini.service_changed",
-            "service=" + std::to_string(service) +
-                " version=" + std::to_string(it->second.version));
+            "service=", service, " version=", it->second.version);
   // The re-registrations (and through them each registry's RemoteEvent
   // fan-out) descend from this change record.
   sim::SpanScope change_scope(simulator().trace(), change_span);

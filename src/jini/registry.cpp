@@ -87,9 +87,8 @@ void JiniRegistry::handle_register(const Message& m) {
               [this, service] { purge_registration(service); });
   const sim::SpanId stored =
       trace(sim::TraceCategory::kDiscovery, "jini.registered",
-            "service=" + std::to_string(service) +
-                " version=" + std::to_string(reg.sd.version) +
-                (inserted ? " new" : " renewal"));
+            "service=", service, " version=", reg.sd.version,
+            inserted ? " new" : " renewal");
   // The response and the RemoteEvent fan-out both descend from the
   // stored registration.
   sim::SpanScope scope(simulator().trace(), stored);
@@ -124,8 +123,7 @@ void JiniRegistry::fire_events(const ServiceDescription& sd) {
     event.bytes = 48 + discovery::wire_size(sd);
     event.payload = RemoteEvent{sd};
     event.span = trace(sim::TraceCategory::kUpdate, "jini.event.tx",
-                       "user=" + std::to_string(user) +
-                           " version=" + std::to_string(sd.version));
+                       "user=", user, " version=", sd.version);
     if (observer_ != nullptr) {
       observer_->notification_sent(id(), user, sd.version, now());
     }
@@ -135,7 +133,7 @@ void JiniRegistry::fire_events(const ServiceDescription& sd) {
         network(), std::move(event), {},
         [this, u = user] {
           trace(sim::TraceCategory::kUpdate, "jini.event.rex",
-                "user=" + std::to_string(u));
+                "user=", u);
         },
         config_.tcp);
   }
@@ -200,7 +198,7 @@ void JiniRegistry::handle_event_register(const Message& m) {
     observer_->lease_granted(id(), user, entry.lease.expires_at(), now());
   }
   trace(sim::TraceCategory::kSubscription, "jini.event_registered",
-        "user=" + std::to_string(user));
+        "user=", user);
   // NB: no notification about already-registered matching services - the
   // Jini anomaly the paper contrasts FRODO's PR1 against.
 
@@ -233,7 +231,7 @@ void JiniRegistry::handle_renew_event(const Message& m) {
     // PR3 as Jini implements it: a bare error; the User must redo registry
     // discovery, event registration and lookup.
     trace(sim::TraceCategory::kSubscription, "jini.renew_event.unknown",
-          "user=" + std::to_string(renew.user));
+          "user=", renew.user);
     SDCM_OBS_ONLY(simulator().obs().counter("recovery.jini.pr3").inc());
     reply.payload = RenewEventResponse{false};
   }
@@ -243,7 +241,7 @@ void JiniRegistry::handle_renew_event(const Message& m) {
 void JiniRegistry::purge_registration(ServiceId service) {
   if (registrations_.erase(service) > 0) {
     trace(sim::TraceCategory::kLease, "jini.registration.purged",
-          "service=" + std::to_string(service));
+          "service=", service);
   }
 }
 
@@ -251,7 +249,7 @@ void JiniRegistry::purge_event(NodeId user) {
   if (events_.erase(user)) {
     if (observer_ != nullptr) observer_->lease_dropped(id(), user, now());
     trace(sim::TraceCategory::kLease, "jini.event.purged",
-          "user=" + std::to_string(user));
+          "user=", user);
   }
 }
 

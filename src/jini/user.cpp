@@ -88,7 +88,7 @@ void JiniUser::registry_heard(NodeId registry) {
 
   if (inserted) {
     trace(sim::TraceCategory::kDiscovery, "jini.registry.discovered",
-          "registry=" + std::to_string(registry));
+          "registry=", registry);
     // Notification request first, then always a lookup (PR2). The lookup
     // is sent only once the event registration is confirmed: "Jini
     // overcomes this problem by forcing Users to always send queries
@@ -120,8 +120,7 @@ void JiniUser::purge_registry(NodeId registry, const char* reason) {
   }
   registries_.erase(registry);
   trace(sim::TraceCategory::kDiscovery, "jini.registry.purged",
-        std::string("registry=") + std::to_string(registry) +
-            " reason=" + reason);
+        "registry=", registry, " reason=", reason);
   // The cached service description is kept: Jini has no PR5.
 }
 
@@ -146,7 +145,7 @@ void JiniUser::send_lookup(NodeId registry) {
   m.klass = MessageClass::kControl;
   m.payload = Lookup{id(), requirement_};
   trace(sim::TraceCategory::kDiscovery, "jini.lookup.tx",
-        "registry=" + std::to_string(registry));
+        "registry=", registry);
   net::TcpConnection::open_and_send(
       network(), std::move(m), {},
       [this, registry] { purge_registry(registry, "lookup-rex"); },
@@ -204,7 +203,7 @@ void JiniUser::handle_renew_event_response(const Message& m) {
     // registration / lookup. Announcements (every 120 s) bring the
     // registry back quickly, and the lookup then recovers the state.
     trace(sim::TraceCategory::kSubscription, "jini.event.lapsed",
-          "registry=" + std::to_string(registry));
+          "registry=", registry);
     purge_registry(registry, "event-lapsed");
   }
 }
@@ -217,7 +216,7 @@ void JiniUser::handle_lookup_response(const Message& m) {
 void JiniUser::handle_remote_event(const Message& m) {
   const auto& event = m.as<RemoteEvent>();
   trace(sim::TraceCategory::kUpdate, "jini.event.rx",
-        "version=" + std::to_string(event.sd.version));
+        "version=", event.sd.version);
   store(event.sd);
 }
 
@@ -226,7 +225,7 @@ void JiniUser::store(const ServiceDescription& sd) {
   if (sd_.has_value() && sd_->version >= sd.version) return;
   sd_ = sd;
   trace(sim::TraceCategory::kUpdate, "jini.description.stored",
-        "version=" + std::to_string(sd.version));
+        "version=", sd.version);
   if (observer_ != nullptr) {
     observer_->user_version(id(), sd.version, now());
     observer_->user_reached(id(), sd.version, now());

@@ -83,12 +83,10 @@ void MdnsResponder::announce_service(const ServiceDescription& sd,
   m.payload = Announce{id(), sd};
   if (klass == MessageClass::kUpdate) {
     m.span = trace(sim::TraceCategory::kUpdate, "mdns.update.tx",
-                   "service=" + std::to_string(sd.id) +
-                       " version=" + std::to_string(sd.version));
+                   "service=", sd.id, " version=", sd.version);
   } else {
     trace(sim::TraceCategory::kDiscovery, "mdns.announce.tx",
-          "service=" + std::to_string(sd.id) +
-              " version=" + std::to_string(sd.version));
+          "service=", sd.id, " version=", sd.version);
   }
   send_multicast(m, copies);
 }
@@ -114,8 +112,7 @@ void MdnsResponder::change_service(ServiceId service,
   ++sd.version;
   const sim::SpanId change_span =
       trace(sim::TraceCategory::kUpdate, "mdns.service_changed",
-            "service=" + std::to_string(sd.id) +
-                " version=" + std::to_string(sd.version));
+            "service=", sd.id, " version=", sd.version);
   // The repeated update announcements descend from this change record.
   sim::SpanScope change_scope(simulator().trace(), change_span);
   if (observer_ != nullptr) observer_->service_changed(sd.version, now());
@@ -209,8 +206,7 @@ void MdnsListener::handle_announce(const Message& m) {
   if (!sd_.has_value() || announce.sd.version > sd_->version) {
     sd_ = announce.sd;
     trace(sim::TraceCategory::kUpdate, "mdns.record.stored",
-          "service=" + std::to_string(sd_->id) +
-              " version=" + std::to_string(sd_->version));
+          "service=", sd_->id, " version=", sd_->version);
     if (observer_ != nullptr) {
       observer_->user_version(id(), sd_->version, now());
       observer_->user_reached(id(), sd_->version, now());

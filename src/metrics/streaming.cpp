@@ -34,19 +34,12 @@ StreamingSummary::StreamingSummary(int expected_runs, std::uint64_t m,
                                    std::uint64_t m_prime)
     : m_(m), m_prime_(m_prime) {
   const auto n = static_cast<std::size_t>(std::max(expected_runs, 0));
-  window_messages_.resize(n, 0);
-  present_.resize(n, 0);
+  window_messages_.reserve(n);
   latency_complements_.reserve(n);
 }
 
 void StreamingSummary::add(int run_index, const RunRecord& run) {
-  const auto slot = static_cast<std::size_t>(run_index);
-  if (slot >= window_messages_.size()) {
-    window_messages_.resize(slot + 1, 0);
-    present_.resize(slot + 1, 0);
-  }
-  window_messages_[slot] = run.window_messages;
-  present_[slot] = 1;
+  window_messages_.emplace_back(run_index, run.window_messages);
   ++runs_added_;
 
   for (std::size_t j = 0; j < run.user_reach_times.size(); ++j) {
@@ -71,11 +64,13 @@ MetricsSummary StreamingSummary::finalize() const {
   if (runs_added_ > 0) {
     // Replay the ratio sums in run-index order so the floating-point
     // result is bit-identical to batch summarize() over the same runs.
+    auto by_index = window_messages_;
+    std::sort(by_index.begin(), by_index.end());
     double efficiency_sum = 0.0;
     double degradation_sum = 0.0;
-    for (std::size_t i = 0; i < window_messages_.size(); ++i) {
-      if (present_[i] == 0 || window_messages_[i] == 0) continue;
-      const auto y = static_cast<double>(window_messages_[i]);
+    for (const auto& [index, messages] : by_index) {
+      if (messages == 0) continue;
+      const auto y = static_cast<double>(messages);
       efficiency_sum += std::min(1.0, static_cast<double>(m_) / y);
       degradation_sum += std::min(1.0, static_cast<double>(m_prime_) / y);
     }

@@ -103,7 +103,7 @@ void apply_failures(sim::Simulator& simulator, Network& network,
           }
           simulator.trace().record(
               simulator.now(), ep.node, sim::TraceCategory::kFailure,
-              "interface.down", std::string(to_string(ep.mode)));
+              "interface.down", to_string(ep.mode));
         });
     simulator.schedule_at(
         ep.end(), [&simulator, &network, ep, tx, rx, depth]() {
@@ -120,7 +120,7 @@ void apply_failures(sim::Simulator& simulator, Network& network,
           }
           simulator.trace().record(
               simulator.now(), ep.node, sim::TraceCategory::kFailure,
-              "interface.up", std::string(to_string(ep.mode)));
+              "interface.up", to_string(ep.mode));
         });
   }
 }

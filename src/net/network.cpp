@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "sdcm/net/tcp.hpp"
 #include "sdcm/obs/instrument.hpp"
 
 namespace sdcm::net {
@@ -34,9 +35,6 @@ class FunctionSink final : public MessageSink {
  private:
   Network::Handler handler_;
 };
-
-/// The message type's spelling as a trace detail string.
-std::string type_detail(const Message& m) { return std::string(m.type.str()); }
 
 /// Inserts a {seq, id} entry into a seq-sorted subscriber list. Attach
 /// hands out monotonically increasing seqs, so the common case is an
@@ -392,14 +390,45 @@ std::optional<sim::SimDuration> Network::shape(Port& src) {
   return static_cast<sim::SimDuration>(std::ceil(deficit / cap_rate_per_us_));
 }
 
-void Network::send(const Message& msg) {
-  transmit(msg, /*deliver=*/true, nullptr);
+void Network::send(Message msg) {
+  transmit(std::move(msg), /*deliver=*/true);
 }
 
-void Network::deliver_multicast_copy(
-    const std::shared_ptr<const Message>& wire, NodeId dst, bool lost) {
-  SDCM_PROFILE_ONLY(sim_.profile_attribute(wire->type.id()));
-  Message m = *wire;
+std::uint32_t Network::hold(Message msg) {
+  if (free_in_flight_.empty()) {
+    const auto base =
+        static_cast<std::uint32_t>(in_flight_.size()) * kSlabChunk;
+    in_flight_.push_back(std::make_unique<InFlight[]>(kSlabChunk));
+    for (std::uint32_t i = kSlabChunk; i-- > 0;) {
+      free_in_flight_.push_back(base + i);
+    }
+  }
+  const std::uint32_t slot = free_in_flight_.back();
+  free_in_flight_.pop_back();
+  flight(slot).msg = std::move(msg);
+  return slot;
+}
+
+void Network::release(std::uint32_t slot) {
+  InFlight& f = flight(slot);
+  f.msg.payload.reset();
+  f.msg.conn.reset();
+  f.done.conn.reset();
+  free_in_flight_.push_back(slot);
+}
+
+void Network::complete(const SegmentCompletion& done, sim::SpanId span,
+                       bool ok) {
+  if (!done.conn) return;
+  sim::SpanScope scope(sim_.trace(), span);
+  done.conn->on_segment(done.kind, done.transfer, ok);
+}
+
+void Network::deliver_multicast_copy(std::uint32_t slot, NodeId dst,
+                                     bool lost) {
+  InFlight& wire = flight(slot);
+  Message& m = wire.msg;
+  SDCM_PROFILE_ONLY(sim_.profile_attribute(m.type.id()));
   m.dst = dst;
   Port& dport = port(dst);
   if (probe_ != nullptr) {
@@ -409,11 +438,12 @@ void Network::deliver_multicast_copy(
     ++sim_.kernel_stats().udp_deliveries_dropped_rx;
     sim_.trace().record_child(m.span, sim_.now(), m.dst,
                               sim::TraceCategory::kTransport, "net.drop.rx",
-                              type_detail(m));
-    return;
+                              m.type);
+  } else {
+    sim::SpanScope scope(sim_.trace(), m.span);
+    dport.sink->handle_message(m);
   }
-  sim::SpanScope scope(sim_.trace(), m.span);
-  dport.sink->handle_message(m);
+  if (--wire.refs == 0) release(slot);
 }
 
 void Network::multicast(const Message& msg, int redundant_copies) {
@@ -431,7 +461,7 @@ void Network::multicast(const Message& msg, int redundant_copies) {
       ++kstats.udp_copies_dropped_tx;
       sim_.trace().record_child(cause, sim_.now(), msg.src,
                                 sim::TraceCategory::kTransport, "net.drop.tx",
-                                type_detail(msg));
+                                msg.type);
       continue;
     }
     sim::SimDuration shaping = 0;
@@ -443,42 +473,67 @@ void Network::multicast(const Message& msg, int redundant_copies) {
         SDCM_OBS_ONLY(sim_.obs().counter("net.capacity.dropped").inc());
         sim_.trace().record_child(cause, sim_.now(), msg.src,
                                   sim::TraceCategory::kTransport,
-                                  "net.drop.capacity", type_detail(msg));
+                                  "net.drop.capacity", msg.type);
         continue;
       }
       shaping = *admitted;
     }
     counters_.count(msg);
     ++kstats.udp_sent;
-    // One immutable wire copy shared by every destination's delivery
-    // event. The per-destination closures capture {this, wire, dst,
-    // lost} - 32 bytes, inside InlineCallback's 64-byte buffer - where
-    // the old by-value Message capture heap-allocated every delivery.
-    auto wire = std::make_shared<const Message>([&] {
-      Message w = msg;
-      w.dst = sim::kNoNode;
-      w.via_multicast = true;
-      w.span = cause;
-      return w;
-    }());
+    // One immutable wire copy in the in-flight slab, referenced by every
+    // destination's delivery event. The per-destination closures capture
+    // {this, slot, dst, lost} - inside InlineCallback's 64-byte buffer.
+    Message w = msg;
+    w.dst = sim::kNoNode;
+    w.via_multicast = true;
+    w.span = cause;
+    const std::uint32_t slot = hold(std::move(w));
     // Only subscribers draw delay and loss, in attach order.
-    std::uint64_t dispatched = 0;
+    std::uint32_t dispatched = 0;
     for_each_subscriber(msg.type, [&](NodeId dst) {
       if (dst == msg.src) return;
       const auto delay = shaping + draw_delay();
       const bool lost = lost_in_transit();
       ++dispatched;
-      sim_.schedule_in(delay, [this, wire, dst, lost]() {
-        deliver_multicast_copy(wire, dst, lost);
+      sim_.schedule_in(delay, [this, slot, dst, lost]() {
+        deliver_multicast_copy(slot, dst, lost);
       });
     });
+    if (dispatched == 0) {
+      release(slot);
+    } else {
+      flight(slot).refs = dispatched;
+    }
     kstats.udp_deliveries_skipped +=
         static_cast<std::uint64_t>(order_.size() - 1) - dispatched;
   }
 }
 
-bool Network::transmit(Message msg, bool deliver,
-                       std::function<void(bool)> on_result) {
+void Network::land_unicast(std::uint32_t slot, bool lost) {
+  InFlight& f = flight(slot);
+  const Message& m = f.msg;
+  SDCM_PROFILE_ONLY(sim_.profile_attribute(m.type.id()));
+  const bool tcp = m.klass == MessageClass::kTransport;
+  Port& dport = port(m.dst);
+  if (probe_ != nullptr) {
+    probe_->on_arrival(m, dport.iface.rx_up(), lost, sim_.now());
+  }
+  const bool ok = dport.iface.rx_up() && !lost;
+  if (!ok) {
+    sim::KernelStats& ks = sim_.kernel_stats();
+    ++(tcp ? ks.tcp_dropped : ks.udp_deliveries_dropped_rx);
+    sim_.trace().record_child(m.span, sim_.now(), m.dst,
+                              sim::TraceCategory::kTransport, "net.drop.rx",
+                              m.type);
+  } else if (f.deliver) {
+    sim::SpanScope scope(sim_.trace(), m.span);
+    dport.sink->handle_message(m);
+  }
+  complete(f.done, m.span, ok);
+  release(slot);
+}
+
+bool Network::transmit(Message msg, bool deliver, SegmentCompletion done) {
   Port& src = port(msg.src);
   const bool tcp = msg.klass == MessageClass::kTransport;
   sim::KernelStats& kstats = sim_.kernel_stats();
@@ -487,71 +542,46 @@ bool Network::transmit(Message msg, bool deliver,
   if (probe_ != nullptr) {
     probe_->on_send(msg, src.iface.tx_up(), sim_.now());
   }
-  if (!src.iface.tx_up()) {
-    ++(tcp ? kstats.tcp_dropped : kstats.udp_copies_dropped_tx);
+  // A segment that never leaves - transmitter down, or the capacity
+  // queue full - looks like any in-flight loss to its sender: the
+  // completion still fires after the drawn delay, with ok = false.
+  const auto dropped = [&](std::string_view tag) {
     sim_.trace().record_child(msg.span, sim_.now(), msg.src,
-                              sim::TraceCategory::kTransport, "net.drop.tx",
-                              type_detail(msg));
-    if (on_result) {
+                              sim::TraceCategory::kTransport, tag, msg.type);
+    if (done.conn) {
       sim_.schedule_in(delay, [this, span = msg.span,
                                SDCM_PROFILE_ONLY(t = msg.type.id(), )
-                               cb = std::move(on_result)]() {
+                               d = std::move(done)]() {
         SDCM_PROFILE_ONLY(sim_.profile_attribute(t));
-        sim::SpanScope scope(sim_.trace(), span);
-        cb(false);
+        complete(d, span, false);
       });
     }
     return false;
+  };
+  if (!src.iface.tx_up()) {
+    ++(tcp ? kstats.tcp_dropped : kstats.udp_copies_dropped_tx);
+    return dropped("net.drop.tx");
   }
   sim::SimDuration shaping = 0;
   if (capacity_enabled()) {
     const auto admitted = shape(src);
     if (!admitted) {
-      // A capacity drop looks like any other in-flight loss to the
-      // sender: TCP's retransmission machinery handles it via cb(false).
       ++(tcp ? kstats.tcp_dropped : kstats.udp_copies_dropped_tx);
       ++kstats.capacity_dropped;
       SDCM_OBS_ONLY(sim_.obs().counter("net.capacity.dropped").inc());
-      sim_.trace().record_child(msg.span, sim_.now(), msg.src,
-                                sim::TraceCategory::kTransport,
-                                "net.drop.capacity", type_detail(msg));
-      if (on_result) {
-        sim_.schedule_in(delay, [this, span = msg.span,
-                                 SDCM_PROFILE_ONLY(t = msg.type.id(), )
-                                 cb = std::move(on_result)]() {
-          SDCM_PROFILE_ONLY(sim_.profile_attribute(t));
-          sim::SpanScope scope(sim_.trace(), span);
-          cb(false);
-        });
-      }
-      return false;
+      return dropped("net.drop.capacity");
     }
     shaping = *admitted;
   }
   counters_.count(msg);
   ++(tcp ? kstats.tcp_sent : kstats.udp_sent);
   const bool lost = lost_in_transit();
-  sim_.schedule_in(shaping + delay, [this, m = std::move(msg), deliver, lost,
-                                     tcp,
-                           cb = std::move(on_result)]() {
-    SDCM_PROFILE_ONLY(sim_.profile_attribute(m.type.id()));
-    Port& dport = port(m.dst);
-    if (probe_ != nullptr) {
-      probe_->on_arrival(m, dport.iface.rx_up(), lost, sim_.now());
-    }
-    const bool ok = dport.iface.rx_up() && !lost;
-    sim::SpanScope scope(sim_.trace(), m.span);
-    if (!ok) {
-      sim::KernelStats& ks = sim_.kernel_stats();
-      ++(tcp ? ks.tcp_dropped : ks.udp_deliveries_dropped_rx);
-      sim_.trace().record_child(m.span, sim_.now(), m.dst,
-                                sim::TraceCategory::kTransport, "net.drop.rx",
-                                type_detail(m));
-    } else if (deliver) {
-      dport.sink->handle_message(m);
-    }
-    if (cb) cb(ok);
-  });
+  const std::uint32_t slot = hold(std::move(msg));
+  InFlight& f = flight(slot);
+  f.done = std::move(done);
+  f.deliver = deliver;
+  sim_.schedule_in(shaping + delay,
+                   [this, slot, lost]() { land_unicast(slot, lost); });
   return true;
 }
 

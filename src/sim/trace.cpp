@@ -79,19 +79,12 @@ void TraceLog::mix(const void* data, std::size_t n) noexcept {
   }
 }
 
-SpanId TraceLog::record(SimTime at, NodeId node, TraceCategory category,
-                        std::string event, std::string detail) {
-  return record_child(ambient_, at, node, category, std::move(event),
-                      std::move(detail));
-}
-
-SpanId TraceLog::record_child(SpanId parent, SimTime at, NodeId node,
-                              TraceCategory category, std::string event,
-                              std::string detail) {
-  if (!recording_) return kNoSpan;
+SpanId TraceLog::append(SpanId parent, SimTime at, NodeId node,
+                        TraceCategory category, std::string_view event,
+                        std::string detail) {
   const SpanId span = ++next_span_;
-  TraceRecord r{at,     node,   category,         span,
-                parent, std::move(event), std::move(detail)};
+  TraceRecord r{at,     node,   category,           span,
+                parent, std::string(event), std::move(detail)};
   // Span ids are excluded from the hash: they are derived metadata, and
   // the golden fingerprints pin behaviour (see fingerprint()).
   mix(&r.at, sizeof(r.at));

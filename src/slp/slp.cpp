@@ -89,7 +89,7 @@ void DirectoryAgent::on_message(const Message& m) {
 void DirectoryAgent::purge(ServiceId service) {
   if (registrations_.erase(service) > 0) {
     trace(sim::TraceCategory::kLease, "slp.registration.purged",
-          "service=" + std::to_string(service));
+          "service=", service);
   }
 }
 
@@ -146,8 +146,7 @@ void ServiceAgent::change_service(ServiceId service) {
   auto& sd = services_.at(service);
   ++sd.version;
   trace(sim::TraceCategory::kUpdate, "slp.service_changed",
-        "service=" + std::to_string(service) +
-            " version=" + std::to_string(sd.version));
+        "service=", service, " version=", sd.version);
   if (observer_ != nullptr) observer_->service_changed(sd.version, now());
   // No notification: the DA copy is refreshed, UAs learn on their next
   // poll (CM2 only - SLP's consistency maintenance per Section 4.2).
@@ -163,7 +162,7 @@ void ServiceAgent::da_heard(NodeId da) {
   });
   if (fresh) {
     trace(sim::TraceCategory::kDiscovery, "slp.da.discovered",
-          "da=" + std::to_string(da));
+          "da=", da);
     register_all();
   }
 }
@@ -251,7 +250,7 @@ void UserAgent::da_heard(NodeId da) {
   });
   if (fresh) {
     trace(sim::TraceCategory::kDiscovery, "slp.da.discovered",
-          "da=" + std::to_string(da));
+          "da=", da);
   }
 }
 
@@ -275,7 +274,7 @@ void UserAgent::on_message(const Message& m) {
     if (sd_.has_value() && sd_->version >= rply.sd.version) return;
     sd_ = rply.sd;
     trace(sim::TraceCategory::kUpdate, "slp.description.stored",
-          "version=" + std::to_string(rply.sd.version));
+          "version=", rply.sd.version);
     if (observer_ != nullptr) {
       observer_->user_version(id(), rply.sd.version, now());
       observer_->user_reached(id(), rply.sd.version, now());

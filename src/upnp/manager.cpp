@@ -119,8 +119,7 @@ void UpnpManager::bumped(ServiceDescription& sd) {
   ++sd.version;
   const sim::SpanId change_span =
       trace(sim::TraceCategory::kUpdate, "upnp.service_changed",
-            "service=" + std::to_string(sd.id) +
-                " version=" + std::to_string(sd.version));
+            "service=", sd.id, " version=", sd.version);
   // The GENA notifications (and through them each User's description
   // re-fetch) descend from this change record.
   sim::SpanScope change_scope(simulator().trace(), change_span);
@@ -146,7 +145,7 @@ void UpnpManager::notify_subscriber(ServiceId service, NodeId user) {
   m.bytes = 64;  // invalidation only: "a change has occurred"
   m.payload = Notify{service, sd.version};
   m.span = trace(sim::TraceCategory::kUpdate, "upnp.notify.tx",
-                 "user=" + std::to_string(user));
+                 "user=", user);
   if (observer_ != nullptr) {
     observer_->notification_sent(id(), user, sd.version, now());
   }
@@ -170,7 +169,7 @@ void UpnpManager::purge_subscriber(ServiceId service, NodeId user,
   it->second.erase(user);
   if (observer_ != nullptr) observer_->lease_dropped(id(), user, now());
   trace(sim::TraceCategory::kSubscription, "upnp.subscriber.purged",
-        "user=" + std::to_string(user) + " reason=" + reason);
+        "user=", user, " reason=", reason);
 }
 
 std::optional<std::vector<net::MessageType>> UpnpManager::multicast_interests()
@@ -256,7 +255,7 @@ void UpnpManager::handle_subscribe(const Message& m) {
     observer_->lease_granted(id(), user, entry.lease.expires_at(), now());
   }
   trace(sim::TraceCategory::kSubscription, "upnp.subscribed",
-        "user=" + std::to_string(user));
+        "user=", user);
 
   reply.payload =
       SubscribeResponse{sub.service, true, config_.subscription_lease};
@@ -291,7 +290,7 @@ void UpnpManager::handle_renew(const Message& m) {
     // variant silently ignores unknown renewals).
     if (!config_.enable_pr4) return;
     trace(sim::TraceCategory::kSubscription, "upnp.renew.unknown",
-          "user=" + std::to_string(renew.user));
+          "user=", renew.user);
     reply.payload = RenewResponse{renew.service, false};
   }
   m.conn->send(std::move(reply));

@@ -106,7 +106,7 @@ void UpnpUser::handle_presence(NodeId manager, discovery::ServiceId service,
     manager_ = manager;
     service_ = service;
     trace(sim::TraceCategory::kDiscovery, "upnp.manager.discovered",
-          "manager=" + std::to_string(manager));
+          "manager=", manager);
   } else if (manager != manager_) {
     return;  // single-manager scenario; ignore other providers
   }
@@ -161,7 +161,7 @@ void UpnpUser::handle_description(const Message& m) {
   sd_ = desc.sd;
   refresh_cache_lease();
   trace(sim::TraceCategory::kUpdate, "upnp.description.stored",
-        "version=" + std::to_string(desc.sd.version));
+        "version=", desc.sd.version);
   if (observer_ != nullptr) {
     observer_->user_version(id(), desc.sd.version, now());
     observer_->user_reached(id(), desc.sd.version, now());
@@ -292,7 +292,7 @@ void UpnpUser::handle_notify(const Message& m) {
   refresh_cache_lease();
   const sim::SpanId rx_span =
       trace(sim::TraceCategory::kUpdate, "upnp.notify.rx",
-            "version=" + std::to_string(notify.version));
+            "version=", notify.version);
   // Invalidation only: fetch the changed description to become consistent.
   // The fetch descends from the received notification.
   sim::SpanScope scope(simulator().trace(), rx_span);

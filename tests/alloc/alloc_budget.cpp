@@ -1,0 +1,168 @@
+// Heap-allocation budget of whole simulation runs. This binary replaces
+// the global operator new with a counting one, runs one paper run per
+// TCP-using and FRODO model plus one 10^3-User churn run, and checks
+// each against the allocation count pinned for it: a change that puts a
+// per-event allocation back on the transport hot path trips the pin.
+// The TCP models must also box no event callback at all.
+//
+// Built and registered only without SDCM_SANITIZE (ASan owns the
+// allocator); the pins hold for the default build, so the count check
+// is compiled out when SDCM_OBS or SDCM_PROFILE adds instrumentation.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <iostream>
+#include <new>
+#include <string>
+
+#include "sdcm/experiment/scenario.hpp"
+#include "sdcm/net/tcp.hpp"
+#include "sdcm/obs/instrument.hpp"
+#include "sdcm/obs/profiler.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace sdcm::net {
+namespace {
+
+/// Counts the messages it receives; allocates nothing per delivery.
+class CountingSink final : public MessageSink {
+ public:
+  void handle_message(const Message&) override { ++received; }
+  int received = 0;
+};
+
+TEST(AllocBudget, TcpExchangeCostsOneAllocation) {
+  sim::Simulator simulator(3);
+  simulator.trace().set_recording(false);
+  Network network(simulator);
+  CountingSink a;
+  CountingSink b;
+  network.attach(1, a);
+  network.attach(2, b);
+  Message m;
+  m.src = 1;
+  m.dst = 2;
+  m.type = MessageType::intern("alloc.notify");
+  m.klass = MessageClass::kUpdate;
+  bool rexed = false;
+  const auto exchange = [&] {
+    TcpConnection::open_and_send(network, m, {}, [&rexed] { rexed = true; });
+    simulator.run_until(simulator.now() + sim::seconds(1));
+  };
+  // The first exchange grows the event queue, the in-flight slab and the
+  // counter arrays to their steady size; every later one reuses them.
+  exchange();
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  exchange();
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(b.received, 2);
+  EXPECT_FALSE(rexed);
+  // SYN, SYN-ACK, data and ack segments ride the slab and typed
+  // completions; the connection object is the only allocation.
+  EXPECT_EQ(allocations, 1u);
+  EXPECT_EQ(simulator.kernel_stats().callback_heap_allocs, 0u);
+}
+
+}  // namespace
+}  // namespace sdcm::net
+
+namespace sdcm::experiment {
+namespace {
+
+struct Budget {
+  const char* name;
+  SystemModel model;
+  double lambda;
+  int users;
+  WorkloadKind workload;
+  bool tcp;
+  /// Allocations of the whole run - set-up, event loop and extraction -
+  /// as measured with GCC 12 and its libstdc++ (the same count at -O0,
+  /// -O2 and -O3). Before the transport hot path went allocation-free
+  /// the same runs made 1546, 3338, 925 and 165107.
+  std::uint64_t measured_allocations;
+};
+
+/// The pin is the measured count plus 10 %. The headroom absorbs a
+/// different compiler or standard library growing its set-up containers
+/// differently; an allocation back on a per-event path adds about one
+/// per event fired (640 or more in every run here), far past it.
+std::uint64_t pinned(const Budget& b) {
+  return b.measured_allocations + b.measured_allocations / 10;
+}
+
+void PrintTo(const Budget& b, std::ostream* os) { *os << b.name; }
+
+class RunBudget : public ::testing::TestWithParam<Budget> {};
+
+TEST_P(RunBudget, StaysWithinPinnedAllocations) {
+  const Budget& b = GetParam();
+  ExperimentConfig config;
+  config.model = b.model;
+  config.lambda = b.lambda;
+  config.seed = 7;
+  config.topology.users = b.users;
+  config.workload.kind = b.workload;
+
+  // An unmeasured first run pays the process's one-time lazy set-up
+  // (first-use statics, ".retx" atoms), so the pin is the same whichever
+  // test the process runs first.
+  (void)run_experiment(config);
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const metrics::RunRecord record = run_experiment(config);
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  const std::uint64_t events = record.kernel.events_fired;
+  std::cout << b.name << ": " << allocations << " allocations, " << events
+            << " events, " << record.kernel.callback_heap_allocs
+            << " boxed callbacks\n";
+
+  ASSERT_GT(events, 0u);
+  if (b.tcp) {
+    EXPECT_EQ(record.kernel.callback_heap_allocs, 0u);
+  }
+#if !SDCM_OBS_ENABLED && !SDCM_PROFILE_ENABLED
+  EXPECT_LE(allocations, pinned(b))
+      << "re-pin only with a measured reason";
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllocBudget, RunBudget,
+    ::testing::Values(
+        Budget{"UPnP", SystemModel::kUpnp, 0.5, 5, WorkloadKind::kStatic,
+               true, 418},
+        Budget{"Jini2R", SystemModel::kJiniTwoRegistries, 0.5, 5,
+               WorkloadKind::kStatic, true, 544},
+        Budget{"Frodo3Party", SystemModel::kFrodoThreeParty, 0.5, 5,
+               WorkloadKind::kStatic, false, 397},
+        Budget{"FrodoChurn1e3", SystemModel::kFrodoThreeParty, 0.3, 1000,
+               WorkloadKind::kChurn, false, 63785}),
+    [](const ::testing::TestParamInfo<Budget>& param) {
+      return std::string(param.param.name);
+    });
+
+}  // namespace
+}  // namespace sdcm::experiment

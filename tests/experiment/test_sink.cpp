@@ -253,6 +253,45 @@ TEST(Sink, MergeRejectsOutOfRangeIntegers) {
   }
 }
 
+TEST(Sink, MergeBoundsMemoryByRunLinesNotHeaderRuns) {
+  // A header whose `runs` is huge but in int range, followed by a
+  // single run line: merge must report the missing runs without first
+  // allocating points x runs of bookkeeping (~8.6e9 slots here), even
+  // when that one line carries a run index near INT_MAX.
+  auto config = tiny_config();
+  config.runs = 1;
+  std::ostringstream log;
+  JsonlSink sink(log);
+  config.sink = &sink;
+  (void)run_sweep(config);
+  const std::string good = log.str();
+  const auto header_end = good.find('\n');
+  const auto run_end = good.find('\n', header_end + 1);
+  ASSERT_NE(run_end, std::string::npos);
+  std::string header = good.substr(0, header_end + 1);
+  const std::string runs_key = "\"runs\":1,";
+  ASSERT_NE(header.find(runs_key), std::string::npos);
+  header.replace(header.find(runs_key), runs_key.size(),
+                 "\"runs\":2147483646,");
+  const std::string first_run =
+      good.substr(header_end + 1, run_end - header_end);
+  std::string far_run = first_run;
+  const std::string run_key = "\"run\":0,";
+  ASSERT_NE(far_run.find(run_key), std::string::npos);
+  far_run.replace(far_run.find(run_key), run_key.size(),
+                  "\"run\":2147483645,");
+
+  for (const std::string& run_line : {first_run, far_run}) {
+    std::string error;
+    std::istringstream in(header + run_line);
+    std::istream* shards[] = {&in};
+    EXPECT_FALSE(merge_jsonl(shards, error).has_value());
+    EXPECT_NE(error.find("cover only 1 of 8589934584 runs"),
+              std::string::npos)
+        << error;
+  }
+}
+
 /// Changes one identity field to another valid value of its type.
 struct Perturb {
   void operator()(std::vector<SystemModel>& models) const {

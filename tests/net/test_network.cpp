@@ -121,29 +121,43 @@ TEST_F(NetworkFixture, MulticastPartialReceiverFailure) {
   EXPECT_EQ(inbox3.size(), 1u);
 }
 
+/// Records the outcome the network computes for each wire copy: the
+/// verdict a segment's completion carries back to its TCP connection.
+struct OutcomeProbe : WireProbe {
+  std::vector<bool> sent_tx_up;
+  std::vector<bool> delivered;
+  void on_send(const Message&, bool tx_up, sim::SimTime) override {
+    sent_tx_up.push_back(tx_up);
+  }
+  void on_arrival(const Message&, bool rx_up, bool lost,
+                  sim::SimTime) override {
+    delivered.push_back(rx_up && !lost);
+  }
+};
+
 TEST_F(NetworkFixture, TransmitReportsDeliveryToCaller) {
-  bool result = false;
-  bool called = false;
-  const bool left = network.transmit(msg(1, 2, "seg"), /*deliver=*/false,
-                                     [&](bool ok) {
-                                       called = true;
-                                       result = ok;
-                                     });
+  OutcomeProbe probe;
+  network.set_wire_probe(&probe);
+  const bool left = network.transmit(msg(1, 2, "seg"), /*deliver=*/false);
   simulator.run_until(seconds(1));
+  network.set_wire_probe(nullptr);
   EXPECT_TRUE(left);
-  EXPECT_TRUE(called);
-  EXPECT_TRUE(result);
+  ASSERT_EQ(probe.delivered.size(), 1u);
+  EXPECT_TRUE(probe.delivered[0]);
   EXPECT_TRUE(inbox2.empty());  // deliver=false bypasses the handler
 }
 
 TEST_F(NetworkFixture, TransmitReportsTxFailure) {
   network.interface(1).set_tx(false);
-  bool result = true;
-  const bool left =
-      network.transmit(msg(1, 2, "seg"), false, [&](bool ok) { result = ok; });
+  OutcomeProbe probe;
+  network.set_wire_probe(&probe);
+  const bool left = network.transmit(msg(1, 2, "seg"), false);
   simulator.run_until(seconds(1));
+  network.set_wire_probe(nullptr);
   EXPECT_FALSE(left);
-  EXPECT_FALSE(result);
+  ASSERT_EQ(probe.sent_tx_up.size(), 1u);
+  EXPECT_FALSE(probe.sent_tx_up[0]);
+  EXPECT_TRUE(probe.delivered.empty());
 }
 
 TEST_F(NetworkFixture, DeliverLocalBypassesInterfaces) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
+#include <cstdint>
+#include <thread>
 #include <vector>
 
 namespace sdcm::net {
@@ -256,6 +259,88 @@ TEST(TcpLifetime, ConnectionSurvivesViaPendingEventsOnly) {
   TcpConnection::open_and_send(network, m, {}, {});
   simulator.run_until(sim::seconds(1));
   EXPECT_EQ(delivered, 1);
+}
+
+TEST(TcpTransfers, ManyRequestsRepliedFromInsideDelivery) {
+  // More transfers than the connection stores inline, each reply added
+  // while the request it answers is being delivered: every message
+  // arrives once and every send is acknowledged.
+  sim::Simulator simulator(21);
+  Network network(simulator);
+  const MessageType request = MessageType::intern("transfers.request");
+  const MessageType reply = MessageType::intern("transfers.reply");
+  int replies_received = 0;
+  int replies_acked = 0;
+  network.attach(1, [&](const Message&) { ++replies_received; });
+  network.attach(2, [&](const Message& m) {
+    Message answer;
+    answer.src = 2;
+    answer.dst = 1;
+    answer.type = reply;
+    answer.klass = MessageClass::kUpdate;
+    m.conn->send(answer, [&] { ++replies_acked; });
+  });
+  std::shared_ptr<TcpConnection> conn;
+  TcpConnection::open(
+      network, 1, 2, [&](const auto& c) { conn = c; }, [] {});
+  simulator.run_until(seconds(1));
+  ASSERT_TRUE(conn);
+
+  int requests_acked = 0;
+  for (int i = 0; i < 5; ++i) {
+    Message m;
+    m.src = 1;
+    m.dst = 2;
+    m.type = request;
+    m.klass = MessageClass::kUpdate;
+    conn->send(m, [&] { ++requests_acked; });
+  }
+  simulator.run_until(seconds(2));
+  EXPECT_EQ(requests_acked, 5);
+  EXPECT_EQ(replies_received, 5);
+  EXPECT_EQ(replies_acked, 5);
+  EXPECT_EQ(network.counters().of_type(request), 5u);
+  EXPECT_EQ(network.counters().of_type(reply), 5u);
+  EXPECT_EQ(network.counters().of_type("tcp.ack"), 10u);
+}
+
+TEST(TcpThreads, RetransmissionTypeIsSharedAcrossConcurrentRuns) {
+  // Sweep workers retransmit concurrently; each app atom's ".retx"
+  // sibling is resolved once and then read by every thread. The barrier
+  // lines the first retransmissions up, so a race on the resolution
+  // shows under ThreadSanitizer.
+  constexpr int kThreads = 4;
+  const MessageType type = MessageType::intern("threads.notify");
+  std::barrier ready(kThreads);
+  std::vector<std::uint64_t> retransmissions(kThreads, 0);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([w, type, &ready, &retransmissions] {
+      sim::Simulator simulator(100 + static_cast<std::uint64_t>(w));
+      Network network(simulator);
+      network.attach(1, [](const Message&) {});
+      network.attach(2, [](const Message&) {});
+      std::shared_ptr<TcpConnection> conn;
+      TcpConnection::open(
+          network, 1, 2, [&](const auto& c) { conn = c; }, [] {});
+      simulator.run_until(seconds(1));
+      network.interface(2).set_rx(false);
+      Message m;
+      m.src = 1;
+      m.dst = 2;
+      m.type = type;
+      m.klass = MessageClass::kUpdate;
+      ready.arrive_and_wait();
+      if (conn) conn->send(m);
+      simulator.run_until(seconds(1) + sim::milliseconds(20));
+      network.interface(2).set_rx(true);
+      simulator.run_until(seconds(2));
+      retransmissions[static_cast<std::size_t>(w)] =
+          network.counters().of_type("threads.notify.retx");
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  for (const std::uint64_t n : retransmissions) EXPECT_GT(n, 0u);
 }
 
 }  // namespace
