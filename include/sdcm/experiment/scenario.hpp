@@ -140,9 +140,11 @@ struct ExperimentConfig {
 /// is registries 1-2, manager 10, users 11..10+N.
 metrics::RunRecord run_experiment(const ExperimentConfig& config);
 
-/// run_experiment plus the run's observability state, moved out of the
-/// simulator after the horizon: the full trace log (recording is forced
-/// on) and the metrics registry (populated only in SDCM_OBS=ON builds).
+/// run_experiment plus the run's observability state: the full trace log
+/// (recording is forced on, moved out of the simulator after the
+/// horizon) and the metrics registry, which only traced runs attach and
+/// feed. run_experiment attaches none, so sweeps pay one pointer test
+/// per instrumentation site.
 struct TracedExperiment {
   metrics::RunRecord record;
   sim::TraceLog trace;

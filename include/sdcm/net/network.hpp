@@ -329,9 +329,8 @@ class Network {
   sim::Simulator& sim_;
   sim::SimDuration min_delay_;
   sim::SimDuration max_delay_;
-  /// Set in the constructor only when built with SDCM_OBS=ON (see
-  /// sdcm/obs/instrument.hpp); unconditional member so the class layout
-  /// never depends on the toggle.
+  /// Set in the constructor only when the simulator has a metrics
+  /// registry attached (traced runs); null in sweeps.
   obs::Histogram* hop_delay_us_ = nullptr;
   WireProbe* probe_ = nullptr;
   double loss_rate_ = 0.0;

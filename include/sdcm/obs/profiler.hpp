@@ -9,7 +9,7 @@
 
 #include "sdcm/obs/registry.hpp"
 
-/// Compile-time wall-clock profiling toggle, mirroring instrument.hpp.
+/// Compile-time wall-clock profiling toggle.
 ///
 /// Builds configured with -DSDCM_PROFILE=ON define SDCM_PROFILE=1
 /// globally and the event loop compiles in per-event steady_clock

@@ -87,12 +87,13 @@ class Simulator {
   TraceLog& trace() noexcept { return trace_; }
   const TraceLog& trace() const noexcept { return trace_; }
 
-  /// The run's metrics registry (counters + histograms). Always present;
-  /// hot-path instrumentation that FEEDS it is compiled in only with
-  /// SDCM_OBS=ON (see sdcm/obs/instrument.hpp), so a default build holds
-  /// an empty registry at zero per-event cost.
-  [[nodiscard]] obs::Registry& obs() noexcept { return obs_; }
-  [[nodiscard]] const obs::Registry& obs() const noexcept { return obs_; }
+  /// The metrics registry the run feeds (counters + histograms), or
+  /// nullptr. None is attached by default: a sweep run feeds nothing and
+  /// each instrumentation site costs one pointer test. Traced runs
+  /// attach one before the run (experiment::run_experiment_traced); it
+  /// must outlive every component built on this simulator.
+  void set_metrics(obs::Registry* registry) noexcept { metrics_ = registry; }
+  [[nodiscard]] obs::Registry* metrics() const noexcept { return metrics_; }
 
   /// The run's shared kernel counter block (event queue volume, wire
   /// traffic, trace records). See sim::KernelStats.
@@ -102,9 +103,9 @@ class Simulator {
   }
 
   /// Attaches a wall-clock profiler (nullptr detaches). The member is
-  /// unconditional (same ODR policy as the registry) but the event
-  /// loop only reads it under SDCM_PROFILE=1 - a default build pays
-  /// nothing per event regardless of attachment.
+  /// unconditional (so the class layout never depends on SDCM_PROFILE)
+  /// but the event loop only reads it under SDCM_PROFILE=1 - a default
+  /// build pays nothing per event regardless of attachment.
   void set_profiler(obs::Profiler* profiler) noexcept {
     profiler_ = profiler;
   }
@@ -131,7 +132,7 @@ class Simulator {
   EventQueue queue_;
   Random rng_;
   TraceLog trace_;
-  obs::Registry obs_;
+  obs::Registry* metrics_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
 };
 

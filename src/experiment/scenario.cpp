@@ -13,7 +13,6 @@
 #include "sdcm/experiment/protocol_registry.hpp"
 #include "sdcm/experiment/workload.hpp"
 #include "sdcm/net/failure_model.hpp"
-#include "sdcm/obs/instrument.hpp"
 #include "sdcm/obs/profile_site.hpp"
 
 namespace sdcm::experiment {
@@ -37,9 +36,9 @@ const PhaseSites& phase_sites() {
 }
 
 /// Shared body of run_experiment / run_experiment_traced. The simulator
-/// lives in the caller so the traced variant can move the trace log and
-/// registry out after the run. `keep_records` forces in-memory trace
-/// storage regardless of config.record_trace.
+/// lives in the caller so the traced variant can attach its registry
+/// before the run and move the trace log out after it. `keep_records`
+/// forces in-memory trace storage regardless of config.record_trace.
 metrics::RunRecord run_impl(const ExperimentConfig& config,
                             sim::Simulator& simulator, bool keep_records) {
   obs::Profiler* const profiler = config.profiler;
@@ -174,18 +173,17 @@ metrics::RunRecord run_impl(const ExperimentConfig& config,
   std::uint64_t count_at_last_reach = 0;
   std::size_t users_reached = 0;
   bool window_closed = false;
-#if SDCM_OBS_ENABLED
-  obs::Histogram& notification_latency =
-      simulator.obs().histogram("update.notification_latency_us");
-#endif
+  obs::Histogram* notification_latency = nullptr;
+  if (obs::Registry* metrics = simulator.metrics()) {
+    notification_latency =
+        &metrics->histogram("update.notification_latency_us");
+  }
   observer.on_user_reached = [&](sim::NodeId, discovery::ServiceVersion version,
                                  sim::SimTime at) {
     if (version != 2 || window_closed) return;
-#if SDCM_OBS_ENABLED
-    notification_latency.record(static_cast<std::uint64_t>(at - change_at));
-#else
-    static_cast<void>(at);
-#endif
+    if (notification_latency != nullptr) {
+      notification_latency->record(static_cast<std::uint64_t>(at - change_at));
+    }
     count_at_last_reach = chatter_total();
     if (++users_reached == static_cast<std::size_t>(layout.users)) {
       window_closed = true;
@@ -225,9 +223,11 @@ metrics::RunRecord run_impl(const ExperimentConfig& config,
   }
   phase.reset();
   if (profiler != nullptr) {
-    // Surface the profile through the run's registry too, so traced
-    // tools (--histograms, the future metrics endpoint) see it.
-    profiler->flush_to(simulator.obs());
+    // Surface the profile through the run's registry too, when one is
+    // attached, so `sdcm_logs --profile --histograms` shows it.
+    if (obs::Registry* metrics = simulator.metrics()) {
+      profiler->flush_to(*metrics);
+    }
     simulator.set_profiler(nullptr);
   }
   return record;
@@ -243,9 +243,9 @@ metrics::RunRecord run_experiment(const ExperimentConfig& config) {
 TracedExperiment run_experiment_traced(const ExperimentConfig& config) {
   sim::Simulator simulator(config.seed);
   TracedExperiment out;
+  simulator.set_metrics(&out.obs);
   out.record = run_impl(config, simulator, /*keep_records=*/true);
   out.trace = std::move(simulator.trace());
-  out.obs = std::move(simulator.obs());
   return out;
 }
 

@@ -75,10 +75,12 @@ int usage() {
       "  --full           print the full event log\n"
       "  --tree[=SPAN]    print the causal propagation tree rooted at SPAN\n"
       "                   (default: the run's service-change record)\n"
-      "  --histograms     print the metrics registry, in bytewise-ascending\n"
-      "                   name order, counters before histograms - stable\n"
+      "  --histograms     print the run's metrics registry (hop delay,\n"
+      "                   notification latency, retransmission and\n"
+      "                   recovery counters), in bytewise-ascending name\n"
+      "                   order, counters before histograms - stable\n"
       "                   across platforms and standard libraries, so the\n"
-      "                   output diffs cleanly in CI (needs -DSDCM_OBS=ON)\n"
+      "                   output diffs cleanly in CI\n"
       "  --profile        attach the wall-clock profiler to the run and\n"
       "                   print the top-N attribution table (per-event\n"
       "                   rows need a -DSDCM_PROFILE=ON build)\n"
@@ -147,8 +149,7 @@ int diff_traces(const char* path_a, const char* path_b) {
 
 void print_registry(const obs::Registry& registry) {
   if (registry.empty()) {
-    std::printf("  (empty - rebuild with -DSDCM_OBS=ON to instrument "
-                "hot paths)\n");
+    std::printf("  (empty - no instrumented site fired)\n");
     return;
   }
   // The shared emitter pins the ordering contract (bytewise-ascending

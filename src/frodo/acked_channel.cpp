@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "sdcm/obs/instrument.hpp"
 #include "sdcm/obs/profile_site.hpp"
 
 namespace sdcm::frodo {
@@ -37,9 +36,10 @@ void AckedChannel::transmit(Token token) {
   const auto it = pending_.find(token);
   if (it == pending_.end()) return;
   Pending& pending = it->second;
-  SDCM_OBS_ONLY(if (pending.sent > 0) {
-    sim_.obs().counter("frodo.channel.retransmissions").inc();
-  });
+  if (obs::Registry* metrics = sim_.metrics();
+      metrics != nullptr && pending.sent > 0) {
+    metrics->counter("frodo.channel.retransmissions").inc();
+  }
   net_.send(pending.message);
   ++pending.sent;
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "sdcm/discovery/observer.hpp"
-#include "sdcm/obs/instrument.hpp"
 #include "sdcm/obs/profile_site.hpp"
 
 namespace sdcm::frodo {
@@ -547,11 +546,12 @@ void FrodoRegistryNode::notify_interest(NodeId user, ServiceId service) {
   m.payload = ServiceNotification{token, reg.sd, reg.manager_class};
   m.span = trace(sim::TraceCategory::kUpdate, "frodo.notify.tx",
                  "user=", user, " version=", reg.sd.version);
-  SDCM_OBS_ONLY(if (reg.sd.version > 1) {
+  if (obs::Registry* metrics = simulator().metrics();
+      metrics != nullptr && reg.sd.version > 1) {
     // A version the User may have missed is being pushed by interest
     // notification: that is PR1 doing recovery, not plain discovery.
-    simulator().obs().counter("recovery.frodo.pr1").inc();
-  });
+    metrics->counter("recovery.frodo.pr1").inc();
+  }
   channel_.send(token, std::move(m),
                 {config_.srn1_retries, config_.srn1_spacing});
 }
@@ -651,7 +651,9 @@ void FrodoRegistryNode::handle_subscription_renew(const Message& m) {
   req.span = trace(sim::TraceCategory::kSubscription,
                    "frodo.resubscribe.request",
                    "user=", renew.user);
-  SDCM_OBS_ONLY(simulator().obs().counter("recovery.frodo.pr3").inc());
+  if (obs::Registry* metrics = simulator().metrics()) {
+    metrics->counter("recovery.frodo.pr3").inc();
+  }
   network().send(req);
 }
 

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "sdcm/net/tcp.hpp"
-#include "sdcm/obs/instrument.hpp"
 #include "sdcm/obs/profile_site.hpp"
 
 namespace sdcm::jini {
@@ -195,7 +194,9 @@ void JiniManager::handle_renew_response(const Message& m) {
     // current description (PR1 when the version moved meanwhile).
     trace(sim::TraceCategory::kLease, "jini.renew.lapsed",
           "registry=", registry);
-    SDCM_OBS_ONLY(simulator().obs().counter("recovery.jini.pr1").inc());
+    if (obs::Registry* metrics = simulator().metrics()) {
+      metrics->counter("recovery.jini.pr1").inc();
+    }
     register_service(registry, service);
   }
 }

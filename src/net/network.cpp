@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "sdcm/net/tcp.hpp"
-#include "sdcm/obs/instrument.hpp"
 
 namespace sdcm::net {
 
@@ -139,13 +138,13 @@ Network::Network(sim::Simulator& simulator, sim::SimDuration min_delay,
       rng_(simulator.rng().fork("network.delays")),
       loss_rng_(simulator.rng().fork("network.loss")) {
   assert(min_delay_ >= 0 && min_delay_ <= max_delay_);
-#if SDCM_OBS_ENABLED
-  // Fixed bounds bracketing Table 3's U(10 us, 100 us): anything outside
-  // [10, 100] on a healthy network is a modelling bug the obs
-  // integration test catches.
-  hop_delay_us_ = &sim_.obs().fixed_histogram(
-      "net.hop_delay_us", {9, 10, 25, 50, 75, 100});
-#endif
+  if (obs::Registry* metrics = sim_.metrics()) {
+    // Fixed bounds bracketing Table 3's U(10 us, 100 us): anything
+    // outside [10, 100] on a healthy network is a modelling bug the obs
+    // integration test catches.
+    hop_delay_us_ = &metrics->fixed_histogram("net.hop_delay_us",
+                                              {9, 10, 25, 50, 75, 100});
+  }
 }
 
 Network::Network(sim::Simulator& simulator)
@@ -334,11 +333,9 @@ const InterfaceState& Network::interface(NodeId id) const {
 
 sim::SimDuration Network::draw_delay() {
   const sim::SimDuration d = rng_.uniform_int(min_delay_, max_delay_);
-#if SDCM_OBS_ENABLED
   if (hop_delay_us_ != nullptr) {
     hop_delay_us_->record(static_cast<std::uint64_t>(d));
   }
-#endif
   return d;
 }
 
@@ -386,7 +383,6 @@ std::optional<sim::SimDuration> Network::shape(Port& src) {
   kstats.capacity_queue_peak =
       std::max(kstats.capacity_queue_peak,
                static_cast<std::uint64_t>(std::ceil(deficit)));
-  SDCM_OBS_ONLY(sim_.obs().counter("net.capacity.delayed").inc());
   return static_cast<sim::SimDuration>(std::ceil(deficit / cap_rate_per_us_));
 }
 
@@ -470,7 +466,6 @@ void Network::multicast(const Message& msg, int redundant_copies) {
       if (!admitted) {
         ++kstats.udp_copies_dropped_tx;
         ++kstats.capacity_dropped;
-        SDCM_OBS_ONLY(sim_.obs().counter("net.capacity.dropped").inc());
         sim_.trace().record_child(cause, sim_.now(), msg.src,
                                   sim::TraceCategory::kTransport,
                                   "net.drop.capacity", msg.type);
@@ -568,7 +563,6 @@ bool Network::transmit(Message msg, bool deliver, SegmentCompletion done) {
     if (!admitted) {
       ++(tcp ? kstats.tcp_dropped : kstats.udp_copies_dropped_tx);
       ++kstats.capacity_dropped;
-      SDCM_OBS_ONLY(sim_.obs().counter("net.capacity.dropped").inc());
       return dropped("net.drop.capacity");
     }
     shaping = *admitted;

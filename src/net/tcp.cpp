@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "sdcm/obs/instrument.hpp"
 #include "sdcm/obs/profile_site.hpp"
 
 namespace sdcm::net {
@@ -99,7 +98,9 @@ void TcpConnection::start() {
                                        self->initiator_,
                                        sim::TraceCategory::kTransport,
                                        "tcp.rex", "to=", self->responder_);
-        SDCM_OBS_ONLY(simulator.obs().counter("tcp.rex").inc());
+        if (obs::Registry* metrics = simulator.metrics()) {
+          metrics->counter("tcp.rex").inc();
+        }
         if (self->on_rex_) {
           sim::SpanScope scope(simulator.trace(), self->span_);
           self->on_rex_();
@@ -209,8 +210,9 @@ void TcpConnection::transfer_attempt(std::uint32_t index) {
     // message counts must not inflate with TCP retries).
     segment.klass = MessageClass::kTransport;
     segment.type = retx_type(t.msg.type);
-    SDCM_OBS_ONLY(
-        net_.simulator().obs().counter("tcp.retransmissions").inc());
+    if (obs::Registry* metrics = net_.simulator().metrics()) {
+      metrics->counter("tcp.retransmissions").inc();
+    }
   }
 
   const bool left_source = net_.transmit(std::move(segment), /*deliver=*/false,

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 namespace sdcm::obs {
@@ -32,7 +33,9 @@ void append_quoted(std::string& out, std::string_view text) {
 
 /// Strict cursor over one record line. The format is rigid (fixed key
 /// order, exactly the seven fields the writer emits), so the parser is a
-/// matcher, not a general JSON reader.
+/// matcher, not a general JSON reader. Numbers accept exactly the range
+/// the writer can emit; a wider one fails the match and names its field
+/// in out_of_range().
 class LineParser {
  public:
   explicit LineParser(std::string_view text) : text_(text) {}
@@ -43,11 +46,17 @@ class LineParser {
     return true;
   }
 
-  bool u64(std::uint64_t& out) {
+  bool u64(std::string_view field, std::uint64_t& out) {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
     const std::size_t begin = pos_;
     std::uint64_t v = 0;
     while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      v = v * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
+      const auto digit = static_cast<std::uint64_t>(text_[pos_] - '0');
+      if (v > (kMax - digit) / 10) {
+        out_of_range_ = field;
+        return false;
+      }
+      v = v * 10 + digit;
       ++pos_;
     }
     if (pos_ == begin) return false;
@@ -55,13 +64,22 @@ class LineParser {
     return true;
   }
 
-  bool i64(std::int64_t& out) {
+  bool i64(std::string_view field, std::int64_t& out) {
     const bool negative = pos_ < text_.size() && text_[pos_] == '-';
     if (negative) ++pos_;
     std::uint64_t magnitude = 0;
-    if (!u64(magnitude)) return false;
-    out = negative ? -static_cast<std::int64_t>(magnitude)
-                   : static_cast<std::int64_t>(magnitude);
+    if (!u64(field, magnitude)) return false;
+    // |INT64_MIN| is one more than INT64_MAX.
+    const std::uint64_t limit =
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) +
+        (negative ? 1 : 0);
+    if (magnitude > limit) {
+      out_of_range_ = field;
+      return false;
+    }
+    // Negating in unsigned arithmetic keeps INT64_MIN defined: the
+    // conversion back to int64 is modular.
+    out = static_cast<std::int64_t>(negative ? 0 - magnitude : magnitude);
     return true;
   }
 
@@ -86,9 +104,15 @@ class LineParser {
 
   [[nodiscard]] bool at_end() const noexcept { return pos_ == text_.size(); }
 
+  /// The field whose number overflowed its type, or empty.
+  [[nodiscard]] std::string_view out_of_range() const noexcept {
+    return out_of_range_;
+  }
+
  private:
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::string_view out_of_range_;
 };
 
 }  // namespace
@@ -119,14 +143,18 @@ std::optional<sim::TraceRecord> parse_trace_record(std::string_view line,
   std::uint64_t node = 0;
   std::string category;
   const bool shape =
-      p.literal("{\"at\":") && p.i64(record.at) &&
-      p.literal(",\"node\":") && p.u64(node) &&
+      p.literal("{\"at\":") && p.i64("at", record.at) &&
+      p.literal(",\"node\":") && p.u64("node", node) &&
       p.literal(",\"category\":") && p.quoted(category) &&
-      p.literal(",\"span\":") && p.u64(record.span) &&
-      p.literal(",\"parent\":") && p.u64(record.parent) &&
+      p.literal(",\"span\":") && p.u64("span", record.span) &&
+      p.literal(",\"parent\":") && p.u64("parent", record.parent) &&
       p.literal(",\"event\":") && p.quoted(record.event) &&
       p.literal(",\"detail\":") && p.quoted(record.detail) &&
       p.literal("}") && p.at_end();
+  if (!p.out_of_range().empty()) {
+    error = "field '" + std::string(p.out_of_range()) + "' out of range";
+    return std::nullopt;
+  }
   if (!shape) {
     error = "malformed trace record line";
     return std::nullopt;

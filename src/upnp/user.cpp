@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "sdcm/net/tcp.hpp"
-#include "sdcm/obs/instrument.hpp"
 #include "sdcm/obs/profile_site.hpp"
 
 namespace sdcm::upnp {
@@ -272,7 +271,9 @@ void UpnpUser::handle_renew_response(const Message& m) {
     // not carry the current description, so a missed update stays missed
     // (the paper's Section 6.2 "never regains consistency" example).
     trace(sim::TraceCategory::kSubscription, "upnp.renew.rejected");
-    SDCM_OBS_ONLY(simulator().obs().counter("recovery.upnp.pr4").inc());
+    if (obs::Registry* metrics = simulator().metrics()) {
+      metrics->counter("recovery.upnp.pr4").inc();
+    }
     subscribed_ = false;
     if (renew_timer_ != sim::kInvalidEventId) {
       simulator().cancel(renew_timer_);

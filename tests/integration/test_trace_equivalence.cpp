@@ -46,7 +46,9 @@ TEST(TraceEquivalence, DifferentSeedsDiverge) {
 // same-time events, alters id assignment visible through timer
 // semantics, or perturbs RNG stream consumption shows up here as a
 // mismatch. Regenerate only for a change that is *supposed* to alter
-// simulated behaviour, never for a kernel refactor.
+// simulated behaviour, never for a kernel refactor. Each value is also
+// reached through run_experiment_traced, which attaches the metrics
+// registry, so the pins prove that observing a run never perturbs it.
 TEST(TraceEquivalence, ScopedRngGoldenFingerprints) {
   struct Golden {
     SystemModel model;
@@ -72,6 +74,18 @@ TEST(TraceEquivalence, ScopedRngGoldenFingerprints) {
     EXPECT_EQ(run.trace_fingerprint, golden.fingerprint)
         << to_string(golden.model) << " lambda=" << golden.lambda
         << " actual=0x" << std::hex << run.trace_fingerprint;
+    // The same run with the metrics registry attached: observing must
+    // never perturb the simulation.
+    ExperimentConfig config;
+    config.model = golden.model;
+    config.lambda = golden.lambda;
+    config.seed = 42;
+    const auto observed = run_experiment_traced(config);
+    EXPECT_FALSE(observed.obs.empty()) << to_string(golden.model);
+    EXPECT_EQ(observed.record.trace_fingerprint, golden.fingerprint)
+        << to_string(golden.model) << " lambda=" << golden.lambda
+        << " traced actual=0x" << std::hex
+        << observed.record.trace_fingerprint;
   }
 }
 

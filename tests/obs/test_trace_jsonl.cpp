@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace sdcm::obs {
 namespace {
@@ -84,6 +87,67 @@ TEST(TraceJsonl, ParseRejectsMalformedLines) {
           "\"parent\":0,\"event\":\"e\",\"detail\":\"\"}x",
           error)
           .has_value());
+}
+
+TEST(TraceJsonl, NumericExtremesRoundTripByteIdentically) {
+  TraceRecord low;
+  low.at = std::numeric_limits<std::int64_t>::min();
+  low.node = std::numeric_limits<sim::NodeId>::max();
+  low.category = TraceCategory::kInfo;
+  low.span = std::numeric_limits<std::uint64_t>::max();
+  low.parent = std::numeric_limits<std::uint64_t>::max();
+  TraceRecord high = low;
+  high.at = std::numeric_limits<std::int64_t>::max();
+  high.span = 0;
+  high.parent = 0;
+  for (const TraceRecord& r : {low, high}) {
+    const std::string line = trace_record_to_jsonl(r);
+    std::string error;
+    const auto parsed = parse_trace_record(line, error);
+    ASSERT_TRUE(parsed.has_value()) << line << ": " << error;
+    EXPECT_EQ(parsed->at, r.at);
+    EXPECT_EQ(parsed->span, r.span);
+    EXPECT_EQ(parsed->parent, r.parent);
+    EXPECT_EQ(trace_record_to_jsonl(*parsed), line);
+  }
+}
+
+TEST(TraceJsonl, ParseRejectsNumbersPastTheirFieldRange) {
+  const auto line = [](std::string_view at, std::string_view span,
+                       std::string_view parent) {
+    return "{\"at\":" + std::string(at) +
+           ",\"node\":1,\"category\":\"info\",\"span\":" +
+           std::string(span) + ",\"parent\":" + std::string(parent) +
+           ",\"event\":\"e\",\"detail\":\"\"}";
+  };
+  struct Case {
+    std::string text;
+    std::string field;
+  };
+  const Case cases[] = {
+      // One past INT64_MAX / INT64_MIN.
+      {line("9223372036854775808", "1", "0"), "at"},
+      {line("-9223372036854775809", "1", "0"), "at"},
+      // Wider than 64 bits: must not wrap to a small value.
+      {line("18446744073709551617", "1", "0"), "at"},
+      // One past UINT64_MAX.
+      {line("1", "18446744073709551616", "0"), "span"},
+      {line("1", "1", "18446744073709551616"), "parent"},
+  };
+  for (const Case& c : cases) {
+    std::string error;
+    EXPECT_FALSE(parse_trace_record(c.text, error).has_value()) << c.text;
+    EXPECT_NE(error.find("'" + c.field + "'"), std::string::npos)
+        << c.text << ": " << error;
+  }
+  // The extremes themselves are accepted.
+  std::string error;
+  EXPECT_TRUE(parse_trace_record(line("-9223372036854775808",
+                                      "18446744073709551615",
+                                      "18446744073709551615"),
+                                 error)
+                  .has_value())
+      << error;
 }
 
 TEST(TraceJsonl, WriterCountsRecordsAndBytes) {

@@ -1,12 +1,11 @@
 // Property tests over whole traced runs: the causal-span invariants hold
-// for every protocol model at every failure regime, and (in SDCM_OBS
-// builds) the hot-path histograms agree with the paper's transport model.
+// for every protocol model at every failure regime, and the hot-path
+// histograms a traced run feeds agree with the paper's transport model.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "sdcm/experiment/scenario.hpp"
-#include "sdcm/obs/instrument.hpp"
 #include "sdcm/obs/span_tree.hpp"
 
 namespace sdcm::obs {
@@ -49,9 +48,6 @@ TEST(TracedRuns, TracedAndPlainRunsAgreeOnBehaviour) {
 }
 
 TEST(TracedRuns, HopDelayHistogramMatchesTable3TransportModel) {
-#if !SDCM_OBS_ENABLED
-  GTEST_SKIP() << "build with -DSDCM_OBS=ON to instrument hot paths";
-#else
   // Table 3: every per-hop delay is drawn U(10 us, 100 us). On a
   // failure-free run the histogram must lie entirely inside that range.
   ExperimentConfig config;
@@ -70,13 +66,9 @@ TEST(TracedRuns, HopDelayHistogramMatchesTable3TransportModel) {
     EXPECT_GT(bucket.upper, 9u);
     EXPECT_LE(bucket.upper, 100u);
   }
-#endif
 }
 
 TEST(TracedRuns, NotificationLatencyIsRecordedPerReachedUser) {
-#if !SDCM_OBS_ENABLED
-  GTEST_SKIP() << "build with -DSDCM_OBS=ON to instrument hot paths";
-#else
   ExperimentConfig config;
   config.model = SystemModel::kFrodoThreeParty;
   config.lambda = 0.0;
@@ -91,24 +83,26 @@ TEST(TracedRuns, NotificationLatencyIsRecordedPerReachedUser) {
   }
   EXPECT_EQ(latency->count(), reached);
   EXPECT_EQ(reached, 5u);  // failure-free: all users reach version 2
-#endif
 }
 
 TEST(TracedRuns, ObsInstrumentationDoesNotPerturbTheTrace) {
-  // Whether SDCM_OBS is ON or OFF, the simulated behaviour is pinned by
-  // the same golden (see tests/integration/test_trace_equivalence.cpp);
-  // here we assert the registry's population is consistent with the
-  // build mode.
-  ExperimentConfig config;
-  config.model = SystemModel::kUpnp;
-  config.lambda = 0.3;
-  config.seed = 3;
-  const auto traced = run_experiment_traced(config);
-#if SDCM_OBS_ENABLED
-  EXPECT_FALSE(traced.obs.empty());
-#else
-  EXPECT_TRUE(traced.obs.empty());
-#endif
+  // A traced run attaches the registry and a plain run does not; the
+  // golden fingerprints pin both to the same simulated behaviour (see
+  // TraceEquivalence.ScopedRngGoldenFingerprints). Here every model's
+  // traced run must actually have fed the registry and replayed the
+  // plain run's trace.
+  for (const SystemModel model : kAllModels) {
+    ExperimentConfig config;
+    config.model = model;
+    config.lambda = 0.3;
+    config.seed = 3;
+    config.record_trace = true;
+    const auto traced = run_experiment_traced(config);
+    EXPECT_FALSE(traced.obs.empty()) << to_string(model);
+    const auto plain = experiment::run_experiment(config);
+    EXPECT_EQ(traced.record.trace_fingerprint, plain.trace_fingerprint)
+        << to_string(model);
+  }
 }
 
 }  // namespace
