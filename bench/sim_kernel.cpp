@@ -9,6 +9,10 @@
 //     and the current slab-backed indexed 4-ary heap, timed with
 //     steady_clock and written to BENCH_sim_kernel.json alongside the
 //     kernel's own counters. CI uploads the JSON as an artifact.
+//     `indexed_queue_deep` runs the same workload through the indexed
+//     heap alone with 2*10^5 leases live, the queue depth of a 10^4-User
+//     churn run, where a heap compare that leaves the heap array costs
+//     a cache miss.
 //
 // Environment knobs:
 //   SDCM_BENCH_SMOKE  - nonzero: tiny workload, skip microbenches (CI)
@@ -287,7 +291,7 @@ void emit_queue(bench::JsonWriter& json, const char* key,
       .field("ns_per_op", ns_per_op)
       .field("events_per_sec", ops_per_sec)
       .end();
-  std::printf("  %-14s %10.1f ns/op  %12.0f events/sec\n", key, ns_per_op,
+  std::printf("  %-18s %10.1f ns/op  %12.0f events/sec\n", key, ns_per_op,
               ops_per_sec);
 }
 
@@ -342,6 +346,12 @@ int run_lease_churn_comparison(bool smoke) {
       .end();
   emit_queue(json, "seed_queue", seed);
   emit_queue(json, "indexed_queue", indexed);
+  ChurnShape deep;
+  deep.leases = smoke ? 20'000 : 200'000;
+  deep.rounds = smoke ? 5 : 20;
+  deep.reps = smoke ? 2 : 3;
+  emit_queue(json, "indexed_queue_deep",
+             run_lease_churn<sim::EventQueue>(deep, [](sim::EventQueue&) {}));
   const LoopResult loop = run_sim_loop(smoke);
   {
     const double ns_per_event =
@@ -355,7 +365,7 @@ int run_lease_churn_comparison(bool smoke) {
         .field("events_per_sec", events_per_sec)
         .field("profile_compiled", SDCM_PROFILE_ENABLED != 0)
         .end();
-    std::printf("  %-14s %10.1f ns/op  %12.0f events/sec  (profiler %s)\n",
+    std::printf("  %-18s %10.1f ns/op  %12.0f events/sec  (profiler %s)\n",
                 "sim_loop", ns_per_event, events_per_sec,
                 SDCM_PROFILE_ENABLED != 0 ? "compiled in" : "off");
   }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
@@ -151,6 +152,9 @@ class ConsistencyOracle final : public sim::TraceWriter,
   void check_interface(NodeId node, bool direction_is_tx, bool up,
                        SimTime at, std::string_view what);
   void note_change(discovery::ServiceVersion version, SimTime at);
+  [[nodiscard]] bool has_departed(NodeId node) const noexcept {
+    return std::binary_search(departed_.begin(), departed_.end(), node);
+  }
 
   // Observer hook handlers.
   void on_user_version(NodeId user, discovery::ServiceVersion version,
@@ -172,7 +176,7 @@ class ConsistencyOracle final : public sim::TraceWriter,
   /// Merged closed outage intervals, per node, [0] = tx, [1] = rx.
   std::map<NodeId, std::array<std::vector<Interval>, 2>> outages_;
   std::vector<NodeId> users_;
-  /// Permanent workload leavers, exempt from convergence.
+  /// Permanent workload leavers, exempt from convergence; sorted.
   std::vector<NodeId> departed_;
 
   // Causality state.

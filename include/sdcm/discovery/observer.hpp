@@ -19,7 +19,8 @@ namespace sdcm::discovery {
 class ConsistencyObserver {
  public:
   /// Declares a User whose consistency is being tracked. Users that never
-  /// reach the new version simply have no `user_reached` record.
+  /// reach the new version simply have no `user_reached` record. O(1):
+  /// a repeat call (a rejoining User) keeps the first-track position.
   void track_user(NodeId user);
 
   /// The Manager changed the monitored service to `version` at `at`.
@@ -53,6 +54,7 @@ class ConsistencyObserver {
   void notification_sent(NodeId holder, NodeId user, ServiceVersion version,
                          sim::SimTime at);
 
+  /// Tracked Users in first-track order.
   [[nodiscard]] const std::vector<NodeId>& users() const noexcept {
     return users_;
   }
@@ -86,7 +88,13 @@ class ConsistencyObserver {
       on_notification_sent;
 
  private:
+  [[nodiscard]] bool tracked(NodeId user) const noexcept {
+    return user < tracked_.size() && tracked_[user];
+  }
+
   std::vector<NodeId> users_;
+  /// Membership flag of users_, indexed by NodeId.
+  std::vector<bool> tracked_;
   std::map<ServiceVersion, sim::SimTime> changes_;
   std::map<std::pair<NodeId, ServiceVersion>, sim::SimTime> reached_;
 };

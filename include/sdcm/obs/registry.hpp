@@ -254,7 +254,8 @@ class Registry {
 /// comparison, independent of locale and standard library), counters
 /// before histograms. Tools that diff registry dumps (`sdcm_logs
 /// --histograms`, `--profile-diff`, CI artifacts) rely on this being
-/// byte-stable across libstdc++ and libc++.
+/// byte-stable across libstdc++ and libc++. An empty registry prints one
+/// "(empty ...)" line, so a dump file is never silently blank.
 void write_registry_text(std::ostream& out, const Registry& registry);
 
 }  // namespace sdcm::obs

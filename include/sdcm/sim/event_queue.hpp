@@ -158,21 +158,35 @@ class InlineCallback {
 /// breaks ties, which keeps runs deterministic regardless of heap
 /// internals - the exact total order of the seed implementation).
 ///
-/// Layout: entries live in a contiguous slab (`slots_`) recycled through
-/// a free list, and a 4-ary min-heap of slot indices (`heap_`) orders
-/// them. Each slot records its current heap position, so cancel() is a
-/// true O(log n) heap erase instead of the seed's tombstone set - the
-/// protocol models cancel timers constantly (every renewed lease cancels
-/// its expiry timer), and with lazy cancellation the dead entries kept
-/// inflating the heap between pops. 4-ary beats binary here: the hot
-/// loop is pop-dominated (sift-down), and a branching factor of 4 halves
-/// the tree height for one extra compare per level, all within a cache
-/// line of slot indices.
+/// Layout: callbacks live in a contiguous slab (`slots_`) recycled
+/// through a free list, and a 4-ary min-heap (`heap_`) orders them. Each
+/// heap entry carries its event's whole ordering key inline - `{at, seq
+/// << kSlotBits | slot}`, 16 bytes - so sifting compares entries of the
+/// heap array itself and touches a `Slot` only to record its new
+/// `heap_pos`. At the 2*10^5-deep queue of a 10^4-User churn run that
+/// is the difference between one cache line per level and a miss per
+/// compared child. Packing `seq` above the slot index keeps one integer
+/// compare for the tie-break: seq is unique, so comparing the packed word
+/// compares seq. Both packed fields are bounded, at 2^28 live events and
+/// 2^36 - 1 schedules per queue; going past either throws
+/// std::length_error rather than wrap into a wrong order.
+///
+/// Each slot records its current heap position, so cancel() is a true
+/// O(log n) heap erase instead of the seed's tombstone set - the protocol
+/// models cancel timers constantly (every renewed lease cancels its
+/// expiry timer), and with lazy cancellation the dead entries kept
+/// inflating the heap between pops. Pop and cancel share one bottom-up
+/// erase. 4-ary beats binary here: the hot loop is pop-dominated, and a
+/// branching factor of 4 halves the tree height for two extra compares
+/// per level, the four children being 64 contiguous bytes of the heap
+/// array.
 class EventQueue {
  public:
   using Callback = InlineCallback;
 
   /// Schedules `cb` at absolute time `at`. Returns an id for cancel().
+  /// Throws std::length_error past the packing bounds (see the class
+  /// comment); the queue is unchanged when it throws.
   EventId schedule(SimTime at, Callback cb);
 
   /// Cancels a pending event in O(log n). Cancelling an already-fired,
@@ -185,7 +199,7 @@ class EventQueue {
   /// Time of the earliest live event; requires !empty().
   [[nodiscard]] SimTime next_time() const noexcept {
     assert(!heap_.empty());
-    return slots_[heap_[0]].at;
+    return heap_[0].at;
   }
 
   /// Pops and returns the earliest live event. Requires !empty().
@@ -204,37 +218,58 @@ class EventQueue {
   void bind_stats(KernelStats* stats) noexcept { stats_ = stats; }
   [[nodiscard]] const KernelStats& stats() const noexcept { return *stats_; }
 
+  /// Packing bounds of a heap entry's key: the slot index takes the low
+  /// kSlotBits bits, the schedule sequence number the rest.
+  static constexpr int kSlotBits = 28;
+  static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint64_t kMaxSeq = ~std::uint64_t{0} >> kSlotBits;
+
  private:
+  // Unit tests start the sequence counter near kMaxSeq to reach the
+  // bound without 2^36 schedules.
+  friend class EventQueueProbe;
+
   using SlotIndex = std::uint32_t;
   static constexpr SlotIndex kNoPos = ~SlotIndex{0};
   static constexpr int kArity = 4;
+  static constexpr std::uint64_t kSlotMask = kMaxSlots - 1;
+
+  struct Entry {
+    SimTime at;
+    std::uint64_t key;  // seq << kSlotBits | slot index
+
+    [[nodiscard]] SlotIndex slot() const noexcept {
+      return static_cast<SlotIndex>(key & kSlotMask);
+    }
+    [[nodiscard]] bool before(const Entry& other) const noexcept {
+      return at != other.at ? at < other.at : key < other.key;
+    }
+  };
 
   struct Slot {
-    SimTime at = 0;
-    std::uint64_t seq = 0;        // schedule order; the FIFO tie-break
+    // The callback first, so the two counters below sit in its tail
+    // padding (72 used bytes of 80) and a slot stays 80 bytes.
+    [[no_unique_address]] InlineCallback cb;
     std::uint32_t generation = 1; // bumped on release; stale-id guard
     SlotIndex heap_pos = kNoPos;  // kNoPos = free / not queued
-    InlineCallback cb;
   };
 
   [[nodiscard]] EventId id_of(SlotIndex index) const noexcept {
     return (std::uint64_t{slots_[index].generation} << 32) | index;
   }
-  [[nodiscard]] bool before(SlotIndex a, SlotIndex b) const noexcept {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.at != sb.at) return sa.at < sb.at;
-    return sa.seq < sb.seq;
+  /// Stores `entry` at heap position `pos` and tells its slot.
+  void place(std::size_t pos, const Entry& entry) noexcept {
+    heap_[pos] = entry;
+    slots_[entry.slot()].heap_pos = static_cast<SlotIndex>(pos);
   }
 
   SlotIndex acquire_slot();
   void release_slot(SlotIndex index);
   void sift_up(std::size_t pos) noexcept;
-  void sift_down(std::size_t pos) noexcept;
   void heap_erase(std::size_t pos) noexcept;
 
   std::vector<Slot> slots_;       // the slab; index = low half of EventId
-  std::vector<SlotIndex> heap_;   // 4-ary min-heap of slot indices
+  std::vector<Entry> heap_;       // 4-ary min-heap of inline keys
   std::vector<SlotIndex> free_;   // recycled slot indices, LIFO
   std::uint64_t next_seq_ = 1;
   KernelStats local_stats_;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "sdcm/experiment/protocol_registry.hpp"
+#include "sdcm/obs/registry.hpp"
 #include "sdcm/obs/span_tree.hpp"
 #include "sdcm/obs/trace_jsonl.hpp"
 #include "sdcm/sim/random.hpp"
@@ -192,7 +193,9 @@ FuzzCase shrink_fuzz_case(const FuzzCase& failing, const FuzzConfig& config,
 namespace {
 
 /// Re-runs the minimized case traced and writes the repro bundle:
-/// trace.jsonl, the propagation tree, and a repro.txt describing the
+/// trace.jsonl, the propagation tree, the run's metrics registry
+/// (registry.txt, the per-mechanism recovery counters among it, in the
+/// `sdcm_logs --histograms` format), and a repro.txt describing the
 /// case and its violations. Returns the directory, or "" on I/O error.
 std::string dump_finding(const FuzzFinding& finding,
                          const FuzzConfig& config) {
@@ -217,6 +220,10 @@ std::string dump_finding(const FuzzFinding& finding,
     const obs::SpanForest forest =
         obs::build_span_forest(traced.trace.records());
     obs::print_span_forest(out, forest);
+  }
+  {
+    std::ofstream out(dir / "registry.txt");
+    obs::write_registry_text(out, traced.obs);
   }
   {
     std::ofstream out(dir / "repro.txt");

@@ -119,6 +119,7 @@ void ConsistencyOracle::arm(std::span<const net::FailureEpisode> plan,
                             std::span<const NodeId> departed) {
   users_.assign(users.begin(), users.end());
   departed_.assign(departed.begin(), departed.end());
+  std::sort(departed_.begin(), departed_.end());
   outages_.clear();
   last_episode_end_ = 0;
   for (const net::FailureEpisode& ep : plan) {
@@ -132,8 +133,7 @@ void ConsistencyOracle::arm(std::span<const net::FailureEpisode> plan,
     if (rx) node_outages[1].push_back(Interval{ep.start, ep.end()});
     // A permanent leaver's to-horizon outage is scenery, not a fault the
     // survivors need grace to recover from.
-    if (std::find(departed_.begin(), departed_.end(), ep.node) ==
-        departed_.end()) {
+    if (!has_departed(ep.node)) {
       last_episode_end_ = std::max(last_episode_end_, ep.end());
     }
   }
@@ -367,10 +367,7 @@ OracleReport ConsistencyOracle::finish() {
   if (config_.require_convergence && latest_change_ >= 2 &&
       last_episode_end_ + config_.convergence_grace <= deadline_) {
     for (const NodeId user : users_) {
-      if (std::find(departed_.begin(), departed_.end(), user) !=
-          departed_.end()) {
-        continue;  // left for good mid-run; nothing to converge
-      }
+      if (has_departed(user)) continue;  // left for good; nothing to converge
       const auto it = user_versions_.find(user);
       const discovery::ServiceVersion held =
           it == user_versions_.end() ? 0 : it->second;

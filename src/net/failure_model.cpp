@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <memory>
 
 #include "sdcm/obs/profile_site.hpp"
@@ -75,13 +74,17 @@ std::vector<FailureEpisode> plan_failures(std::span<const NodeId> nodes,
 
 void apply_failures(sim::Simulator& simulator, Network& network,
                     std::span<const FailureEpisode> plan) {
-  // Nesting depth of concurrent episodes per node per direction, shared
-  // by every transition of this plan and kept alive by the lambdas.
+  // Nesting depth of concurrent episodes per node per direction, indexed
+  // by NodeId, shared by every transition of this plan and kept alive by
+  // the lambdas.
   struct DownDepth {
     int tx = 0;
     int rx = 0;
   };
-  const auto depth = std::make_shared<std::map<NodeId, DownDepth>>();
+  NodeId max_node = 0;
+  for (const FailureEpisode& ep : plan) max_node = std::max(max_node, ep.node);
+  const auto depth =
+      std::make_shared<std::vector<DownDepth>>(std::size_t{max_node} + 1);
   for (const FailureEpisode& ep : plan) {
     if (ep.mode == FailureMode::kNone || ep.duration <= 0) continue;
     const bool tx = ep.mode == FailureMode::kTransmitter ||

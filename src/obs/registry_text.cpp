@@ -11,6 +11,10 @@ namespace sdcm::obs {
 // exists so every tool prints through one renderer instead of
 // reimplementing (and possibly re-ordering) the walk.
 void write_registry_text(std::ostream& out, const Registry& registry) {
+  if (registry.empty()) {
+    out << "  (empty - no instrumented site fired)\n";
+    return;
+  }
   char line[160];
   for (const auto& [name, counter] : registry.counters()) {
     std::snprintf(line, sizeof line, "  %-36s %llu\n", name.c_str(),

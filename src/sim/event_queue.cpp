@@ -1,6 +1,7 @@
 #include "sdcm/sim/event_queue.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace sdcm::sim {
@@ -11,7 +12,9 @@ EventQueue::SlotIndex EventQueue::acquire_slot() {
     free_.pop_back();
     return index;
   }
-  assert(slots_.size() < kNoPos);
+  if (slots_.size() >= kMaxSlots) {
+    throw std::length_error("EventQueue: more than 2^28 live events");
+  }
   slots_.emplace_back();
   return static_cast<SlotIndex>(slots_.size() - 1);
 }
@@ -26,62 +29,48 @@ void EventQueue::release_slot(SlotIndex index) {
 }
 
 void EventQueue::sift_up(std::size_t pos) noexcept {
-  const SlotIndex moving = heap_[pos];
+  const Entry moving = heap_[pos];
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / kArity;
-    if (!before(moving, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    slots_[heap_[pos]].heap_pos = static_cast<SlotIndex>(pos);
+    if (!moving.before(heap_[parent])) break;
+    place(pos, heap_[parent]);
     pos = parent;
   }
-  heap_[pos] = moving;
-  slots_[moving].heap_pos = static_cast<SlotIndex>(pos);
+  place(pos, moving);
 }
 
-void EventQueue::sift_down(std::size_t pos) noexcept {
-  const SlotIndex moving = heap_[pos];
+void EventQueue::heap_erase(std::size_t pos) noexcept {
+  // Bottom-up deletion, as std::pop_heap does it: walk the hole at `pos`
+  // down to a leaf along the smallest children, refill it with the last
+  // entry and sift that up. The last entry nearly always belongs near
+  // the bottom, so this skips the compare against it on every level.
+  const Entry last = heap_.back();
+  heap_.pop_back();
   const std::size_t n = heap_.size();
+  if (pos == n) return;  // the erased entry was the last one
   for (;;) {
     const std::size_t first_child = pos * kArity + 1;
     if (first_child >= n) break;
     const std::size_t end_child = std::min(first_child + kArity, n);
     std::size_t best = first_child;
     for (std::size_t child = first_child + 1; child < end_child; ++child) {
-      if (before(heap_[child], heap_[best])) best = child;
+      if (heap_[child].before(heap_[best])) best = child;
     }
-    if (!before(heap_[best], moving)) break;
-    heap_[pos] = heap_[best];
-    slots_[heap_[pos]].heap_pos = static_cast<SlotIndex>(pos);
+    place(pos, heap_[best]);
     pos = best;
   }
-  heap_[pos] = moving;
-  slots_[moving].heap_pos = static_cast<SlotIndex>(pos);
-}
-
-void EventQueue::heap_erase(std::size_t pos) noexcept {
-  const std::size_t last = heap_.size() - 1;
-  if (pos != last) {
-    heap_[pos] = heap_[last];
-    slots_[heap_[pos]].heap_pos = static_cast<SlotIndex>(pos);
-  }
-  heap_.pop_back();
-  if (pos >= heap_.size()) return;
-  // The relocated element can be out of order in either direction.
-  if (pos > 0 && before(heap_[pos], heap_[(pos - 1) / kArity])) {
-    sift_up(pos);
-  } else {
-    sift_down(pos);
-  }
+  heap_[pos] = last;
+  sift_up(pos);
 }
 
 EventId EventQueue::schedule(SimTime at, Callback cb) {
+  if (next_seq_ > kMaxSeq) {
+    throw std::length_error("EventQueue: 2^36 - 1 schedules used up");
+  }
   const SlotIndex index = acquire_slot();
   Slot& slot = slots_[index];
-  slot.at = at;
-  slot.seq = next_seq_++;
   slot.cb = std::move(cb);
-  heap_.push_back(index);
-  slot.heap_pos = static_cast<SlotIndex>(heap_.size() - 1);
+  heap_.push_back(Entry{at, (next_seq_++ << kSlotBits) | index});
   sift_up(heap_.size() - 1);
   ++stats_->events_scheduled;
   if (slot.cb.heap_allocated()) ++stats_->callback_heap_allocs;
@@ -104,9 +93,9 @@ void EventQueue::cancel(EventId id) {
 
 EventQueue::Fired EventQueue::pop() {
   assert(!heap_.empty());
-  const SlotIndex index = heap_[0];
-  Slot& slot = slots_[index];
-  Fired fired{slot.at, id_of(index), std::move(slot.cb)};
+  const Entry top = heap_[0];
+  const SlotIndex index = top.slot();
+  Fired fired{top.at, id_of(index), std::move(slots_[index].cb)};
   heap_erase(0);
   release_slot(index);
   ++stats_->events_fired;

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "sdcm/obs/registry.hpp"
 
 namespace {
 
@@ -161,12 +166,21 @@ TEST(FuzzSweep, CleanSweepFindsNothing) {
   EXPECT_TRUE(result.findings.empty());
 }
 
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 TEST(FuzzSweep, ConvergenceSweepFindsTheStrandedFrodoUser) {
+  namespace fs = std::filesystem;
+  const fs::path dump = fs::path(::testing::TempDir()) / "sdcm_fuzz_dump";
+  fs::remove_all(dump);
   FuzzConfig config;
   config.models = {SystemModel::kFrodoThreeParty};
   config.seed_begin = 894;
   config.seed_end = 895;
   config.require_convergence = true;
+  config.dump_dir = dump.string();
   std::ostringstream log;
   config.log = &log;
   const FuzzResult result = check::run_fuzz(config);
@@ -179,6 +193,26 @@ TEST(FuzzSweep, ConvergenceSweepFindsTheStrandedFrodoUser) {
   EXPECT_GT(finding.shrink_runs, 0);
   EXPECT_LE(finding.minimized.plan.episodes, finding.original.plan.episodes);
   EXPECT_FALSE(log.str().empty());
+
+  // The repro bundle: every file present and non-empty, and registry.txt
+  // is the minimized run's metrics registry in the `sdcm_logs
+  // --histograms` rendering, recovery counters included.
+  ASSERT_FALSE(finding.dump_path.empty());
+  const fs::path dir(finding.dump_path);
+  for (const char* name :
+       {"trace.jsonl", "tree.txt", "repro.txt", "registry.txt"}) {
+    EXPECT_FALSE(read_file(dir / name).empty()) << name;
+  }
+  const experiment::TracedExperiment traced =
+      experiment::run_experiment_traced(
+          check::fuzz_experiment_config(finding.minimized, config));
+  ASSERT_FALSE(traced.obs.empty());
+  std::ostringstream expected;
+  obs::write_registry_text(expected, traced.obs);
+  const std::string registry = read_file(dir / "registry.txt");
+  EXPECT_EQ(registry, expected.str());
+  EXPECT_NE(registry.find("recovery.frodo."), std::string::npos) << registry;
+  fs::remove_all(dump);
 }
 
 TEST(FuzzConfigShaping, ConvergeShapeExtendsRunAndGatesOracle) {

@@ -89,6 +89,34 @@ TEST(TraceEquivalence, ScopedRngGoldenFingerprints) {
   }
 }
 
+// The goldens above are 5-User static runs whose queue stays about 300
+// deep. This one is a FRODO-3party churn run at 10^3 Users, whose queue
+// peaks at 19,137 live events: a heap that reorders events only at
+// depth, or that schedules or cancels one event more or less, fails
+// here. The trace is streamed to a counting writer, which keeps the
+// fingerprint without holding every record in memory.
+TEST(TraceEquivalence, DeepQueueChurnGolden) {
+  struct CountingWriter final : sim::TraceWriter {
+    std::uint64_t records = 0;
+    void on_record(const sim::TraceRecord&) override { ++records; }
+  } writer;
+  ExperimentConfig config;
+  config.model = SystemModel::kFrodoThreeParty;
+  config.lambda = 0.30;
+  config.seed = 42;
+  config.topology.users = 1000;
+  config.workload.kind = WorkloadKind::kChurn;
+  config.trace_writer = &writer;
+  const auto run = run_experiment(config);
+  EXPECT_EQ(run.trace_fingerprint, 0xd2b4bdf2b34cc925ull)
+      << "actual=0x" << std::hex << run.trace_fingerprint;
+  EXPECT_EQ(run.kernel.events_scheduled, 164192u);
+  EXPECT_EQ(run.kernel.events_cancelled, 35391u);
+  EXPECT_EQ(run.kernel.events_fired, 124828u);
+  EXPECT_EQ(run.kernel.peak_heap_size, 19137u);
+  EXPECT_EQ(writer.records, run.kernel.trace_records);
+}
+
 // The kernel counters ride along with every run; sanity-pin the shape
 // (exact values are covered by the event-queue unit tests).
 TEST(TraceEquivalence, KernelStatsAreThreadedThroughRuns) {

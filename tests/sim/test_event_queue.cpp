@@ -5,11 +5,23 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
+#include <stdexcept>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sdcm/sim/random.hpp"
 
 namespace sdcm::sim {
+
+class EventQueueProbe {
+ public:
+  static void set_next_seq(EventQueue& q, std::uint64_t seq) {
+    q.next_seq_ = seq;
+  }
+};
+
 namespace {
 
 TEST(EventQueue, EmptyInitially) {
@@ -197,6 +209,133 @@ TEST(EventQueue, InterleavedStormKeepsSizeAndStatsExact) {
   EXPECT_TRUE(pending.empty());
   EXPECT_EQ(q.stats().events_scheduled,
             q.stats().events_fired + q.stats().events_cancelled);
+}
+
+/// Ordered reference model for the deep storm: (at, schedule order) ->
+/// id, plus a dense list of live keys so a random middle entry is O(1)
+/// to pick and O(log n) to remove.
+class ReferenceQueue {
+ public:
+  using Key = std::pair<SimTime, std::uint64_t>;
+
+  void add(Key key, EventId id) {
+    order_.emplace(key, id);
+    where_[key.second] = live_.size();
+    live_.push_back(key);
+  }
+  void remove(Key key) {  // by value: callers pass refs into live_
+    const std::size_t index = where_.at(key.second);
+    live_[index] = live_.back();
+    where_[live_[index].second] = index;
+    live_.pop_back();
+    where_.erase(key.second);
+    order_.erase(key);
+  }
+  [[nodiscard]] std::size_t size() const { return order_.size(); }
+  [[nodiscard]] const std::pair<const Key, EventId>& front() const {
+    return *order_.begin();
+  }
+  [[nodiscard]] const Key& live(std::size_t i) const { return live_[i]; }
+  [[nodiscard]] EventId id(const Key& key) const { return order_.at(key); }
+
+ private:
+  std::map<Key, EventId> order_;
+  std::vector<Key> live_;
+  std::unordered_map<std::uint64_t, std::size_t> where_;
+};
+
+TEST(EventQueue, DeepStormWithDenseTiesMatchesOrderedReference) {
+  // At the depth of a 10^4-User churn run: >= 5*10^4 live events, at
+  // most 32 distinct instants ahead of the clock (so most compares are
+  // equal-`at` ties broken by schedule order), and cancels of both the
+  // root and random middle entries. Every pop, next_time() and size()
+  // must match the ordered reference, and the counters stay exact.
+  EventQueue q;
+  ReferenceQueue ref;
+  Random rng(16);
+  std::uint64_t next_seq = 0;
+  std::uint64_t scheduled = 0;
+  std::uint64_t cancelled = 0;
+  std::uint64_t fired = 0;
+  std::uint64_t max_live = 0;
+  SimTime now = 0;
+
+  const auto schedule = [&] {
+    const SimTime at = now + rng.uniform_int(0, 31);
+    ref.add({at, next_seq++}, q.schedule(at, [] {}));
+    ++scheduled;
+    max_live = std::max<std::uint64_t>(max_live, ref.size());
+  };
+  const auto cancel = [&](ReferenceQueue::Key key) {
+    q.cancel(ref.id(key));
+    ref.remove(key);
+    ++cancelled;
+  };
+  const auto pop_and_check = [&] {
+    const auto [key, id] = ref.front();
+    ASSERT_EQ(q.next_time(), key.first);
+    const auto f = q.pop();
+    ASSERT_EQ(f.id, id);
+    ASSERT_EQ(f.at, key.first);
+    now = f.at;
+    ref.remove(key);
+    ++fired;
+  };
+
+  constexpr std::size_t kDepth = 60'000;
+  // Build-up, with a root and a middle cancel every 64 schedules.
+  while (ref.size() < kDepth) {
+    schedule();
+    if (scheduled % 64 == 0) {
+      cancel(ref.front().first);
+      cancel(ref.live(static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(ref.size()) - 1))));
+    }
+  }
+  ASSERT_EQ(q.size(), ref.size());
+  // Steady state around the peak depth.
+  for (int round = 0; round < 200'000; ++round) {
+    const auto action = rng.uniform_int(0, 19);
+    if (action < 8 || ref.size() < kDepth / 2) {
+      schedule();
+    } else if (action < 12) {
+      cancel(ref.live(static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(ref.size()) - 1))));
+    } else if (action < 14) {
+      cancel(ref.front().first);
+    } else {
+      pop_and_check();
+    }
+    ASSERT_EQ(q.size(), ref.size());
+  }
+  EXPECT_GE(max_live, 50'000u);
+  EXPECT_EQ(q.stats().events_scheduled, scheduled);
+  EXPECT_EQ(q.stats().events_cancelled, cancelled);
+  EXPECT_EQ(q.stats().events_fired, fired);
+  EXPECT_EQ(q.stats().peak_heap_size, max_live);
+
+  while (!q.empty()) pop_and_check();
+  EXPECT_EQ(ref.size(), 0u);
+  EXPECT_EQ(q.stats().events_scheduled,
+            q.stats().events_fired + q.stats().events_cancelled);
+}
+
+TEST(EventQueue, SequenceBoundThrowsInsteadOfWrapping) {
+  // seq shares a 64-bit key with the slot index; the last packable seq
+  // must still order FIFO, and the next schedule must throw and leave
+  // the queue untouched.
+  EventQueue q;
+  EventQueueProbe::set_next_seq(q, EventQueue::kMaxSeq - 1);
+  std::vector<int> order;
+  q.schedule(5, [&order] { order.push_back(1); });
+  q.schedule(5, [&order] { order.push_back(2); });
+  EXPECT_THROW(q.schedule(5, [&order] { order.push_back(3); }),
+               std::length_error);
+  EXPECT_THROW(q.schedule(1, [] {}), std::length_error);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.stats().events_scheduled, 2u);
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(EventQueue, LeaseChurnCallbacksDoNotAllocate) {
