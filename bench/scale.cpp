@@ -43,6 +43,7 @@
 
 #include "bench_common.hpp"
 #include "sdcm/discovery/observer.hpp"
+#include "sdcm/experiment/env.hpp"
 #include "sdcm/experiment/protocol_registry.hpp"
 #include "sdcm/net/network.hpp"
 #include "sdcm/sim/simulator.hpp"
@@ -435,13 +436,12 @@ int main() {
   bench::check(bytes_flat,
                "fanout bytes/node is flat-or-falling across decades "
                "(dense NodeTable, no per-node heap nodes)");
+  bool all_reached = true;
   for (const auto& m : fanout) {
-    if (m.delivered !=
-        m.nodes * m.rounds) {
-      bench::check(false, "every multicast round reached every spoke");
-      break;
-    }
+    all_reached = all_reached && m.delivered == m.nodes * m.rounds;
   }
+  all_reached = bench::check(all_reached,
+                             "every multicast round reached every spoke");
 
   // Interest-scoping correctness: exactly the subscribers receive, and
   // every other spoke is accounted as skipped.
@@ -485,5 +485,5 @@ int main() {
     return 1;
   }
   std::printf("wrote %s\n", path.c_str());
-  return (bytes_flat && scoped_exact) ? 0 : 1;
+  return (bytes_flat && all_reached && scoped_exact) ? 0 : 1;
 }

@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "sdcm/experiment/env.hpp"
+#include "sdcm/experiment/sweep.hpp"
 #include "sdcm/experiment/workload.hpp"
 
 using namespace sdcm;
@@ -117,13 +119,18 @@ int main() {
   const Measured mitigated = measure(base, spec);
   print("mitigated", mitigated);
 
-  bench::check(at_rest.capacity_dropped == 0 && at_rest.capacity_delayed == 0,
-               "the static scenario never touches the capacity path");
-  bench::check(saturation.capacity_delayed > 0,
-               "saturation back-pressure delays burst traffic");
-  bench::check(mitigated.capacity_dropped <= saturation.capacity_dropped,
-               "jittered announce intervals shed the thundering herd "
-               "(fewer capacity drops than the synchronized storm)");
+  // Every check reads counts from seeded runs, so a failure is a
+  // behaviour change and fails the exit code.
+  bool ok = bench::check(
+      at_rest.capacity_dropped == 0 && at_rest.capacity_delayed == 0,
+      "the static scenario never touches the capacity path");
+  ok = bench::check(saturation.capacity_delayed > 0,
+                    "saturation back-pressure delays burst traffic") &&
+       ok;
+  ok = bench::check(mitigated.capacity_dropped <= saturation.capacity_dropped,
+                    "jittered announce intervals shed the thundering herd "
+                    "(fewer capacity drops than the synchronized storm)") &&
+       ok;
 
   const char* json_path = std::getenv("SDCM_BENCH_JSON");
   const std::string path = (json_path != nullptr && *json_path != '\0')
@@ -151,5 +158,5 @@ int main() {
     return 1;
   }
   std::printf("wrote %s\n", path.c_str());
-  return 0;
+  return ok ? 0 : 1;
 }

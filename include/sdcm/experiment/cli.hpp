@@ -9,8 +9,7 @@
 namespace sdcm::experiment::cli {
 
 /// Parsed command line of the `sdcm_sweep` tool. The ablation toggles
-/// live in `sweep.ablation` (the typed AblationSpec the engine applies);
-/// there is no untyped hook on this path anymore.
+/// live in `sweep.ablation` (the typed AblationSpec the engine applies).
 struct Options {
   SweepConfig sweep;
   /// Where to write the CSV ("-" = stdout only).
@@ -34,6 +33,9 @@ struct Options {
   /// "profile.jsonl" when no --jsonl was given.
   bool profile = false;
   std::string profile_path;
+  /// "paper": run every paper campaign (claims.hpp) at `sweep.runs` and
+  /// `sweep.threads` and print the claims report instead of one sweep.
+  std::string report;
   /// Live progress on stderr (--no-progress disables).
   bool progress = true;
   bool help = false;
@@ -48,11 +50,12 @@ struct Options {
 ///   --output=FILE  --jsonl=FILE  --summary=FILE  --traces=DIR
 ///   --shard=i/N    deterministic 1-of-N campaign slice
 ///   --merge=A,B    merge shard JSONL logs instead of sweeping
-///   --no-frodo-pr1 --no-frodo-srn2 --no-frodo-pr3 --no-frodo-pr4
-///   --no-frodo-pr5 --no-upnp-pr4 --no-upnp-pr5
+///   --no-frodo-pr1 --no-frodo-srn1 --no-frodo-srn2 --no-frodo-pr3
+///   --no-frodo-pr4 --no-frodo-pr5 --no-upnp-pr4 --no-upnp-pr5
 ///   --placement=fit|truncated  --episodes=N  --loss=P
 ///   --check        run the consistency oracle on every run
 ///   --profile[=FILE]  profile every run; write the campaign profile JSONL
+///   --report=paper    run the paper campaigns, print the claims report
 ///   --no-progress
 ///   --help
 std::optional<Options> parse(int argc, const char* const* argv,

@@ -95,6 +95,7 @@ struct Topology {
 /// disables a technique none of its selected models implements.
 enum class AblationToggle : std::uint8_t {
   kFrodoPr1,
+  kFrodoSrn1,
   kFrodoSrn2,
   kFrodoPr3,
   kFrodoPr4,

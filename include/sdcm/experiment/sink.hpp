@@ -297,9 +297,10 @@ struct CampaignRun {
 /// SweepConfig: every for_each_identity_field key plus the shard, the
 /// result checked by SweepConfig::validate(). Returns std::nullopt with a
 /// message on `error` when the line is not a valid campaign header of
-/// format version 3 (older versions are rejected, never merged: version
+/// format version 4 (older versions are rejected, never merged: version
 /// 1 logs come from another multicast RNG stream, version 2 logs carry
-/// no ablation or workload parameters).
+/// no ablation or workload parameters, version 3 logs no consistency
+/// mode, SRN1 toggle or FRODO lease parameters).
 std::optional<SweepConfig> parse_jsonl_header(std::string_view line,
                                               std::string& error);
 

@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sdcm/experiment/protocol_registry.hpp"
@@ -20,14 +20,29 @@ class TraceSink;    // sink.hpp
 class CheckSink;    // sink.hpp
 class ProfileSink;  // sink.hpp
 
+/// Section 4.2's two consistency-maintenance mechanisms: CM1 update
+/// notification (the paper's evaluated setup), CM2 persistent polling,
+/// or both at once. Applies to UPnP, Jini and FRODO.
+enum class ConsistencyMode : std::uint8_t { kCm1, kCm2, kCm1Cm2 };
+
+std::string_view to_string(ConsistencyMode mode) noexcept;
+std::optional<ConsistencyMode> consistency_from_name(
+    std::string_view name) noexcept;
+
+/// The CM2 poll period of every polling campaign.
+inline constexpr sim::SimDuration kCm2PollPeriod = sim::seconds(600);
+
 /// The declarative per-run overrides of the paper's ablation studies:
 /// every recovery-technique toggle (Table 4), the failure-episode
-/// placement and count (DESIGN.md decision 1) and the companion study's
-/// message-loss rate. The engine applies the spec to every run before
-/// the `customize` escape hatch, so ablation campaigns are plain data -
-/// they serialize, compare and log - instead of opaque std::functions.
+/// placement and count (DESIGN.md decision 1), the companion study's
+/// message-loss rate, the CM1/CM2 mode and the FRODO subscription lease
+/// and renewal point (DESIGN.md decision 3). The engine applies the spec
+/// to every run, so ablation campaigns are plain data: they serialize,
+/// compare and log.
 struct AblationSpec {
   bool frodo_pr1 = true;
+  /// Off = FrodoConfig::srn1_retries of 0 (no SRN1 retransmission).
+  bool frodo_srn1 = true;
   bool frodo_srn2 = true;
   bool frodo_pr3 = true;
   bool frodo_pr4 = true;
@@ -39,6 +54,10 @@ struct AblationSpec {
   /// Independent per-delivery loss probability; 0 in the paper's
   /// interface-failure experiments.
   double message_loss_rate = 0.0;
+  ConsistencyMode consistency = ConsistencyMode::kCm1;
+  /// FrodoConfig::subscription_lease and renew_fraction (their defaults).
+  sim::SimDuration frodo_subscription_lease = sim::seconds(1800);
+  double frodo_renew_fraction = 0.5;
 
   void apply(ExperimentConfig& run) const;
 };
@@ -57,6 +76,8 @@ struct AblationToggleRow {
 inline constexpr AblationToggleRow kAblationToggles[] = {
     {"frodo_pr1", "--no-frodo-pr1", AblationToggle::kFrodoPr1,
      &AblationSpec::frodo_pr1},
+    {"frodo_srn1", "--no-frodo-srn1", AblationToggle::kFrodoSrn1,
+     &AblationSpec::frodo_srn1},
     {"frodo_srn2", "--no-frodo-srn2", AblationToggle::kFrodoSrn2,
      &AblationSpec::frodo_srn2},
     {"frodo_pr3", "--no-frodo-pr3", AblationToggle::kFrodoPr3,
@@ -90,7 +111,7 @@ struct SweepConfig {
   /// Failure rates; default 0.00 .. 0.90 in 0.05 steps (19 points).
   std::vector<double> lambdas = paper_lambda_grid();
   /// Runs per (model, lambda) point. The paper simulates 30 logs per
-  /// point; override with the SDCM_RUNS environment variable in benches.
+  /// point.
   int runs = 30;
   /// Node population applied to every run (U Users / M Managers / R
   /// registries; see TopologySpec). The default is the paper topology.
@@ -101,13 +122,8 @@ struct SweepConfig {
   /// Typed ablation overrides, applied to every run by the engine.
   AblationSpec ablation;
   /// Typed workload applied to every run (churn/storm/saturation;
-  /// kStatic = the plain paper scenario). Applied alongside `ablation`,
-  /// before `customize`.
+  /// kStatic = the plain paper scenario). Applied alongside `ablation`.
   WorkloadSpec workload;
-  /// Escape hatch for knobs outside AblationSpec (lease periods, poll
-  /// modes, SRN1 retries, ...). Applied after `ablation`; called
-  /// concurrently from worker threads, so capture by value or const ref.
-  std::function<void(ExperimentConfig&)> customize;
   /// Retain every RunRecord in SweepPoint::records. Off by default:
   /// the streaming aggregation makes per-point memory independent of
   /// the run count, which buffering records would undo.
@@ -141,18 +157,19 @@ struct SweepConfig {
   /// std::nullopt when the config is runnable; otherwise a message
   /// naming the first problem (empty models/lambdas, non-positive
   /// runs/users/managers, a registry override on a registry-less
-  /// model, lambda outside [0, 1], malformed shard).
+  /// model, lambda outside [0, 1], a non-positive FRODO lease or a
+  /// renew fraction outside (0, 1), malformed shard).
   [[nodiscard]] std::optional<std::string> validate() const;
 };
 
 /// The campaign identity: every SweepConfig field that decides what a
 /// campaign's runs compute, with its campaign-log header key, in header
-/// order (the shard, threads, sinks, keep_records and customize are not
-/// identity). JsonlSink writes the header from this table,
-/// parse_jsonl_header reads it back and merge_jsonl compares shards
-/// field by field, so a field listed here is logged, parsed and checked
-/// everywhere. Calls `visit(key, field)` once per field; `Config` is
-/// SweepConfig or const SweepConfig.
+/// order (the shard, threads, sinks and keep_records are not identity).
+/// JsonlSink writes the header from this table, parse_jsonl_header reads
+/// it back and merge_jsonl compares shards field by field, so a field
+/// listed here is logged, parsed and checked everywhere. Calls
+/// `visit(key, field)` once per field; `Config` is SweepConfig or const
+/// SweepConfig.
 template <class Config, class Visit>
 void for_each_identity_field(Config& config, Visit&& visit) {
   visit("models", config.models);
@@ -168,6 +185,9 @@ void for_each_identity_field(Config& config, Visit&& visit) {
   visit("placement", config.ablation.placement);
   visit("episodes", config.ablation.episodes);
   visit("message_loss_rate", config.ablation.message_loss_rate);
+  visit("consistency", config.ablation.consistency);
+  visit("frodo_subscription_lease", config.ablation.frodo_subscription_lease);
+  visit("frodo_renew_fraction", config.ablation.frodo_renew_fraction);
   auto& churn = config.workload.churn;
   auto& storm = config.workload.storm;
   auto& saturation = config.workload.saturation;

@@ -44,8 +44,27 @@ inline const std::vector<std::uint64_t>& profile_ns_bounds() {
   return bounds;
 }
 
+/// SDCM_HEAP_BYTES_MEASURED is 1 where sample_memory() measures
+/// heap_bytes: under AddressSanitizer its allocator's own count (glibc's
+/// mallinfo2 sees none of those allocations), else glibc 2.33+'s
+/// mallinfo2.
+#if defined(__SANITIZE_ADDRESS__)
+#define SDCM_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SDCM_ASAN 1
+#endif
+#endif
+#if defined(SDCM_ASAN) || \
+    (defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33))
+#define SDCM_HEAP_BYTES_MEASURED 1
+#else
+#define SDCM_HEAP_BYTES_MEASURED 0
+#endif
+
 /// Process-wide memory watermarks: peak RSS (KB, via getrusage) and
-/// current heap bytes (glibc mallinfo2; 0 where unavailable).
+/// current heap bytes in use, mmapped chunks included (0 where
+/// SDCM_HEAP_BYTES_MEASURED is 0).
 struct MemorySample {
   std::uint64_t peak_rss_kb = 0;
   std::uint64_t heap_bytes = 0;

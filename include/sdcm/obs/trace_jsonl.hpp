@@ -13,9 +13,20 @@ namespace sdcm::obs {
 /// Formats one trace record as its JSONL line (no trailing newline):
 ///   {"at":123,"node":10,"category":"update","span":5,"parent":2,
 ///    "event":"frodo.update.tx","detail":"user=11"}
-/// Integers are decimal, strings escape only '"' and '\' - the same
-/// exact-round-trip discipline as the campaign JsonlSink.
+/// Integers are decimal; strings escape '"' and '\' with a backslash and
+/// control characters as \u00XX - the same exact-round-trip discipline
+/// as the campaign JsonlSink.
 std::string trace_record_to_jsonl(const sim::TraceRecord& record);
+
+/// Appends `text` as a JSON string: '"' and '\' escaped with a
+/// backslash, control characters as \u00XX (lowercase hex), every other
+/// byte as is. Every JSONL writer's string escape (traces here, campaign
+/// logs and profiles in sdcm::experiment).
+void append_json_string(std::string& out, std::string_view text);
+
+/// Decodes the four characters after "\u" when they are one of
+/// append_json_string's control-character escapes.
+bool decode_json_control_escape(std::string_view hex, char& out);
 
 /// Parses one line written by trace_record_to_jsonl. Returns
 /// std::nullopt with a message on `error` for malformed lines or

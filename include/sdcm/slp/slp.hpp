@@ -20,7 +20,7 @@
 // only freshness mechanism is its periodic SrvRqst (CM2).
 //
 // This module is an extension beyond the paper's five evaluated systems;
-// it is exercised by tests/slp and bench/slp_hybrid.
+// it is exercised by tests/slp.
 
 #include <map>
 #include <optional>

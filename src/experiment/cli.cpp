@@ -107,6 +107,10 @@ std::string usage() {
          "                     needs a -DSDCM_PROFILE=ON build, phase\n"
          "                     timers work in every build; render with\n"
          "                     sdcm_logs --profile-table\n"
+         "  --report=paper     run every paper campaign and print the series\n"
+         "                     tables, Table 5 against the paper and every\n"
+         "                     claim's verdict; of the other flags only\n"
+         "                     --runs and --threads apply\n"
          "  --no-progress      disable the live stderr progress line\n"
          "  --help\n";
   return oss.str();
@@ -286,6 +290,12 @@ std::optional<Options> parse(int argc, const char* const* argv,
     } else if (key == "--profile") {
       options.profile = true;
       options.profile_path = std::string(value);
+    } else if (key == "--report") {
+      if (value != "paper") {
+        error = "--report must be 'paper'";
+        return std::nullopt;
+      }
+      options.report = std::string(value);
     } else if (key == "--no-progress") {
       options.progress = false;
     } else {

@@ -6,9 +6,10 @@
 // APIs, this is their implementation idiom.
 //
 // Writing: append_* emitters produce byte-exact round-trippable text -
-// integers in full, doubles via %.17g, strings escaping only '"' and
-// '\\'. Reading: a minimal strict parser with numbers kept as raw
-// tokens so 64-bit integers and doubles reparse without precision loss.
+// integers in full, doubles via %.17g, strings through
+// obs::append_json_string. Reading: a minimal strict parser with numbers
+// kept as raw tokens so 64-bit integers and doubles reparse without
+// precision loss.
 
 #include <cctype>
 #include <cerrno>
@@ -20,6 +21,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "sdcm/obs/trace_jsonl.hpp"
 
 namespace sdcm::experiment::jsonu {
 
@@ -39,15 +42,6 @@ inline void append_double(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
-}
-
-inline void append_quoted(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
 }
 
 struct JsonValue {
@@ -235,12 +229,19 @@ class JsonParser {
     ++pos_;
     while (pos_ < text_.size() && text_[pos_] != '"') {
       char c = text_[pos_];
+      if (static_cast<unsigned char>(c) < 0x20) {
+        error = "raw control character in string";
+        return false;
+      }
       if (c == '\\') {
         ++pos_;
         if (pos_ >= text_.size()) break;
         c = text_[pos_];
-        // Only the escapes JsonlSink emits.
-        if (c != '"' && c != '\\') {
+        // Only the escapes obs::append_json_string emits.
+        if (c == 'u' &&
+            obs::decode_json_control_escape(text_.substr(pos_ + 1), c)) {
+          pos_ += 4;
+        } else if (c != '"' && c != '\\') {
           error = "unsupported string escape";
           return false;
         }

@@ -15,7 +15,7 @@ namespace {
 
 using jsonu::JsonParser;
 using jsonu::JsonValue;
-using jsonu::append_quoted;
+using obs::append_json_string;
 using jsonu::append_u64;
 
 obs::RunProfile& model_slot(CampaignProfile& profile, std::string_view model) {
@@ -83,7 +83,7 @@ void write_profile_jsonl(std::ostream& out, const CampaignProfile& profile) {
 
   for (const auto& [name, run] : profile.models) {
     line = "{\"model\":";
-    append_quoted(line, name);
+    append_json_string(line, name);
     line += ",\"runs\":";
     append_u64(line, run.runs);
     line += ",\"loop_ns\":";
@@ -94,9 +94,9 @@ void write_profile_jsonl(std::ostream& out, const CampaignProfile& profile) {
     out << line;
     for (const auto& event : run.events) {
       line = "{\"model\":";
-      append_quoted(line, name);
+      append_json_string(line, name);
       line += ",\"event\":";
-      append_quoted(line, event.name);
+      append_json_string(line, event.name);
       line += ",\"count\":";
       append_u64(line, event.count);
       line += ",\"total_ns\":";
@@ -110,9 +110,9 @@ void write_profile_jsonl(std::ostream& out, const CampaignProfile& profile) {
     }
     for (const auto& phase : run.phases) {
       line = "{\"model\":";
-      append_quoted(line, name);
+      append_json_string(line, name);
       line += ",\"phase\":";
-      append_quoted(line, phase.name);
+      append_json_string(line, phase.name);
       line += ",\"count\":";
       append_u64(line, phase.count);
       line += ",\"total_ns\":";

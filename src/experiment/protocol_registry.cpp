@@ -25,6 +25,7 @@ using discovery::ServiceDescription;
 std::string_view to_string(AblationToggle toggle) noexcept {
   switch (toggle) {
     case AblationToggle::kFrodoPr1: return "frodo-pr1";
+    case AblationToggle::kFrodoSrn1: return "frodo-srn1";
     case AblationToggle::kFrodoSrn2: return "frodo-srn2";
     case AblationToggle::kFrodoPr3: return "frodo-pr3";
     case AblationToggle::kFrodoPr4: return "frodo-pr4";
@@ -203,6 +204,7 @@ Topology build_mdns(const ExperimentConfig& config, sim::Simulator& simulator,
 
 constexpr std::uint32_t kFrodoAblations =
     toggle_bit(AblationToggle::kFrodoPr1) |
+    toggle_bit(AblationToggle::kFrodoSrn1) |
     toggle_bit(AblationToggle::kFrodoSrn2) |
     toggle_bit(AblationToggle::kFrodoPr3) |
     toggle_bit(AblationToggle::kFrodoPr4) |

@@ -6,6 +6,7 @@
 //   $ sdcm_sweep --models=FRODO-2party,UPnP --lambdas=0.0:0.9:0.1
 //                --runs=50 --output=results.csv
 //   $ sdcm_sweep --no-frodo-pr1     # Figure 7's control, full grid
+//   $ sdcm_sweep --report=paper     # every paper campaign and claim
 //
 // A campaign can split across machines and recombine exactly:
 //
@@ -20,6 +21,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "sdcm/experiment/claims.hpp"
 #include "sdcm/experiment/cli.hpp"
 #include "sdcm/experiment/report.hpp"
 #include "sdcm/experiment/sink.hpp"
@@ -80,6 +82,13 @@ int main(int argc, char** argv) {
   }
   if (options->help) {
     std::cout << cli::usage();
+    return 0;
+  }
+
+  if (!options->report.empty()) {
+    write_paper_report(std::cout,
+                       run_paper_campaigns(options->sweep.runs,
+                                           options->sweep.threads));
     return 0;
   }
 

@@ -87,15 +87,16 @@ namespace {
 
 using jsonu::append_double;
 using jsonu::append_i64;
-using jsonu::append_quoted;
+using obs::append_json_string;
 using jsonu::append_u64;
 using jsonu::JsonParser;
 using jsonu::JsonValue;
 
 /// The "sdcm_campaign" format version. Version 3 is the first whose
 /// header carries the whole campaign identity (for_each_identity_field);
-/// every other version is rejected on read.
-constexpr std::uint64_t kCampaignLogVersion = 3;
+/// version 4 adds the consistency mode, the SRN1 toggle and the FRODO
+/// lease fields. Every other version is rejected on read.
+constexpr std::uint64_t kCampaignLogVersion = 4;
 
 // One emitter and one reader per field type of the campaign log, so the
 // header, the run lines and the merge all read and write a field the
@@ -108,16 +109,19 @@ void append_json(std::string& out, std::uint64_t v) { append_u64(out, v); }
 void append_json(std::string& out, double v) { append_double(out, v); }
 void append_json(std::string& out, bool v) { out += v ? "true" : "false"; }
 void append_json(std::string& out, std::string_view v) {
-  append_quoted(out, v);
+  append_json_string(out, v);
 }
 void append_json(std::string& out, SystemModel v) {
-  append_quoted(out, to_string(v));
+  append_json_string(out, to_string(v));
 }
 void append_json(std::string& out, WorkloadKind v) {
-  append_quoted(out, to_string(v));
+  append_json_string(out, to_string(v));
 }
 void append_json(std::string& out, net::FailurePlacement v) {
-  append_quoted(out, net::to_string(v));
+  append_json_string(out, net::to_string(v));
+}
+void append_json(std::string& out, ConsistencyMode v) {
+  append_json_string(out, to_string(v));
 }
 /// null or the value.
 template <class T>
@@ -184,6 +188,9 @@ bool read_json(const JsonValue& v, WorkloadKind& out) {
 }
 bool read_json(const JsonValue& v, net::FailurePlacement& out) {
   return read_name(v, out, net::placement_from_name);
+}
+bool read_json(const JsonValue& v, ConsistencyMode& out) {
+  return read_name(v, out, consistency_from_name);
 }
 /// null or a T.
 template <class T>
@@ -476,6 +483,9 @@ std::optional<SweepConfig> parse_jsonl_header(std::string_view line,
     } else if (version == 2) {
       error += "; version 2 logs carry no ablation or workload parameters "
                "and must be regenerated";
+    } else if (version == 3) {
+      error += "; version 3 logs carry no consistency mode, SRN1 toggle or "
+               "FRODO lease parameters and must be regenerated";
     }
     error += ")";
     return std::nullopt;

@@ -20,8 +20,28 @@ std::vector<double> SweepConfig::paper_lambda_grid() {
   return grid;
 }
 
+std::string_view to_string(ConsistencyMode mode) noexcept {
+  switch (mode) {
+    case ConsistencyMode::kCm1: return "cm1";
+    case ConsistencyMode::kCm2: return "cm2";
+    case ConsistencyMode::kCm1Cm2: return "cm1+cm2";
+  }
+  return "?";
+}
+
+std::optional<ConsistencyMode> consistency_from_name(
+    std::string_view name) noexcept {
+  for (const ConsistencyMode mode :
+       {ConsistencyMode::kCm1, ConsistencyMode::kCm2,
+        ConsistencyMode::kCm1Cm2}) {
+    if (name == to_string(mode)) return mode;
+  }
+  return std::nullopt;
+}
+
 void AblationSpec::apply(ExperimentConfig& run) const {
   run.frodo.enable_pr1 = frodo_pr1;
+  if (!frodo_srn1) run.frodo.srn1_retries = 0;
   run.frodo.enable_srn2 = frodo_srn2;
   run.frodo.enable_pr3 = frodo_pr3;
   run.frodo.enable_pr4 = frodo_pr4;
@@ -31,6 +51,18 @@ void AblationSpec::apply(ExperimentConfig& run) const {
   run.failure_placement = placement;
   run.failure_episodes = episodes;
   run.message_loss_rate = message_loss_rate;
+  const bool notify = consistency != ConsistencyMode::kCm2;
+  const sim::SimDuration poll =
+      consistency == ConsistencyMode::kCm1 ? 0 : kCm2PollPeriod;
+  for (discovery::TimingConfig* timing :
+       {static_cast<discovery::TimingConfig*>(&run.upnp),
+        static_cast<discovery::TimingConfig*>(&run.jini),
+        static_cast<discovery::TimingConfig*>(&run.frodo)}) {
+    timing->enable_notification = notify;
+    timing->poll_period = poll;
+  }
+  run.frodo.subscription_lease = frodo_subscription_lease;
+  run.frodo.renew_fraction = frodo_renew_fraction;
 }
 
 std::optional<std::string> SweepConfig::validate() const {
@@ -66,6 +98,13 @@ std::optional<std::string> SweepConfig::validate() const {
   if (std::isnan(ablation.message_loss_rate) ||
       ablation.message_loss_rate < 0.0 || ablation.message_loss_rate > 1.0) {
     return "ablation.message_loss_rate must lie in [0, 1]";
+  }
+  if (ablation.frodo_subscription_lease <= 0) {
+    return "ablation.frodo_subscription_lease must be positive";
+  }
+  if (!(ablation.frodo_renew_fraction > 0.0 &&
+        ablation.frodo_renew_fraction < 1.0)) {
+    return "ablation.frodo_renew_fraction must lie in (0, 1)";
   }
   // Workload windows must fit the run horizon (satellite of DESIGN.md
   // section 11): a churn window or storm burst past the deadline would
@@ -210,7 +249,6 @@ SweepResult run_sweep(const SweepConfig& config) {
         run_seed(config.master_seed, point.model, point.lambda_index, job.run);
     config.ablation.apply(run_config);
     run_config.workload = config.workload;
-    if (config.customize) config.customize(run_config);
     if (trace_sink != nullptr) {
       run_config.trace_writer =
           trace_sink->open_run(point.model, point.lambda_index, job.run);

@@ -15,6 +15,9 @@
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
+#if defined(SDCM_ASAN)
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
+#endif
 
 namespace sdcm::obs {
 
@@ -72,9 +75,13 @@ MemorySample sample_memory() noexcept {
     sample.peak_rss_kb = static_cast<std::uint64_t>(usage.ru_maxrss);
   }
 #endif
-#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+#if defined(SDCM_ASAN)
+  sample.heap_bytes = __sanitizer_get_current_allocated_bytes();
+#elif SDCM_HEAP_BYTES_MEASURED
+  // uordblks counts arena chunks only; chunks past the mmap threshold
+  // are in hblkhd.
   const struct mallinfo2 info = mallinfo2();
-  sample.heap_bytes = static_cast<std::uint64_t>(info.uordblks);
+  sample.heap_bytes = static_cast<std::uint64_t>(info.uordblks + info.hblkhd);
 #endif
   return sample;
 }

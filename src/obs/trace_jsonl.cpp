@@ -22,15 +22,6 @@ void append_i64(std::string& out, std::int64_t v) {
   out += buf;
 }
 
-void append_quoted(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
 /// Strict cursor over one record line. The format is rigid (fixed key
 /// order, exactly the seven fields the writer emits), so the parser is a
 /// matcher, not a general JSON reader. Numbers accept exactly the range
@@ -88,11 +79,17 @@ class LineParser {
     ++pos_;
     while (pos_ < text_.size() && text_[pos_] != '"') {
       char c = text_[pos_];
+      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
       if (c == '\\') {
         ++pos_;
         if (pos_ >= text_.size()) return false;
         c = text_[pos_];
-        if (c != '"' && c != '\\') return false;  // only escapes we emit
+        // Only the escapes append_json_string emits.
+        if (c == 'u' && decode_json_control_escape(text_.substr(pos_ + 1), c)) {
+          pos_ += 4;
+        } else if (c != '"' && c != '\\') {
+          return false;
+        }
       }
       out += c;
       ++pos_;
@@ -117,21 +114,52 @@ class LineParser {
 
 }  // namespace
 
+void append_json_string(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte < 0x20) {
+      out += "\\u00";
+      out += kHex[byte >> 4];
+      out += kHex[byte & 0xF];
+      continue;
+    }
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  out += '"';
+}
+
+bool decode_json_control_escape(std::string_view hex, char& out) {
+  // "00", then '0' or '1', then one lowercase hex digit: 0x00-0x1f.
+  if (hex.size() < 4 || hex.substr(0, 2) != "00" ||
+      (hex[2] != '0' && hex[2] != '1')) {
+    return false;
+  }
+  const char low = hex[3];
+  const bool digit = low >= '0' && low <= '9';
+  if (!digit && !(low >= 'a' && low <= 'f')) return false;
+  out = static_cast<char>((hex[2] - '0') * 16 +
+                          (digit ? low - '0' : low - 'a' + 10));
+  return true;
+}
+
 std::string trace_record_to_jsonl(const sim::TraceRecord& record) {
   std::string line = "{\"at\":";
   append_i64(line, record.at);
   line += ",\"node\":";
   append_u64(line, record.node);
   line += ",\"category\":";
-  append_quoted(line, to_string(record.category));
+  append_json_string(line, to_string(record.category));
   line += ",\"span\":";
   append_u64(line, record.span);
   line += ",\"parent\":";
   append_u64(line, record.parent);
   line += ",\"event\":";
-  append_quoted(line, record.event);
+  append_json_string(line, record.event);
   line += ",\"detail\":";
-  append_quoted(line, record.detail);
+  append_json_string(line, record.detail);
   line += '}';
   return line;
 }

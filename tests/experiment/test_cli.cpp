@@ -84,11 +84,12 @@ TEST(Cli, ZeroRunsRejected) {
 }
 
 TEST(Cli, AblationTogglesAndPlacement) {
-  const auto options = parse_args(
-      {"--no-frodo-pr1", "--no-upnp-pr5", "--placement=truncated"});
+  const auto options = parse_args({"--no-frodo-pr1", "--no-frodo-srn1",
+                                   "--no-upnp-pr5", "--placement=truncated"});
   ASSERT_TRUE(options.has_value());
   const AblationSpec& spec = options->sweep.ablation;
   EXPECT_FALSE(spec.frodo_pr1);
+  EXPECT_FALSE(spec.frodo_srn1);
   EXPECT_FALSE(spec.upnp_pr5);
   EXPECT_TRUE(spec.frodo_srn2);
   EXPECT_EQ(spec.placement, net::FailurePlacement::kTruncated);
@@ -96,6 +97,7 @@ TEST(Cli, AblationTogglesAndPlacement) {
   ExperimentConfig run;
   spec.apply(run);
   EXPECT_FALSE(run.frodo.enable_pr1);
+  EXPECT_EQ(run.frodo.srn1_retries, 0);
   EXPECT_FALSE(run.upnp.enable_pr5);
   EXPECT_TRUE(run.frodo.enable_srn2);
   EXPECT_EQ(run.failure_placement, net::FailurePlacement::kTruncated);
@@ -121,13 +123,14 @@ TEST(Cli, BadShardRejected) {
 TEST(Cli, JsonlMergeSummaryAndLossFlags) {
   const auto options = parse_args({"--jsonl=out.jsonl", "--summary=s.json",
                                    "--merge=a.jsonl,b.jsonl", "--loss=0.2",
-                                   "--no-progress"});
+                                   "--report=paper", "--no-progress"});
   ASSERT_TRUE(options.has_value());
   EXPECT_EQ(options->jsonl, "out.jsonl");
   EXPECT_EQ(options->summary, "s.json");
   ASSERT_EQ(options->merge_inputs.size(), 2u);
   EXPECT_EQ(options->merge_inputs[0], "a.jsonl");
   EXPECT_DOUBLE_EQ(options->sweep.ablation.message_loss_rate, 0.2);
+  EXPECT_EQ(options->report, "paper");
   EXPECT_FALSE(options->progress);
 }
 
@@ -136,6 +139,8 @@ TEST(Cli, UnknownFlagRejected) {
   const char* argv[] = {"sdcm_sweep", "--frobnicate"};
   EXPECT_FALSE(parse(2, argv, error).has_value());
   EXPECT_NE(error.find("frobnicate"), std::string::npos);
+  const char* report[] = {"sdcm_sweep", "--report=html"};
+  EXPECT_FALSE(parse(2, report, error).has_value());
   // The removed multicast mode flag is unknown too, and the help text
   // names no mode, so tools probing it for "scoped-rng" drop the flag.
   const char* scope[] = {"sdcm_sweep", "--multicast-scope=scoped-rng"};

@@ -191,6 +191,25 @@ TEST(Sink, MergeRejectsCorruptCampaigns) {
     std::istream* shards[] = {&in0, &in1};
     EXPECT_FALSE(merge_jsonl(shards, error).has_value());
   }
+  {  // A version 3 log lacks the consistency and FRODO lease fields.
+    const std::string v4 = "{\"sdcm_campaign\":4,";
+    ASSERT_EQ(good.rfind(v4, 0), 0u);
+    std::istringstream in("{\"sdcm_campaign\":3," + good.substr(v4.size()));
+    std::istream* shards[] = {&in};
+    EXPECT_FALSE(merge_jsonl(shards, error).has_value());
+    EXPECT_NE(error.find("version 3 logs"), std::string::npos) << error;
+  }
+  {  // A raw control byte inside a string is not JSON.
+    std::string bad = good;
+    const auto at = bad.find("\"static\"");
+    ASSERT_NE(at, std::string::npos);
+    bad[at + 3] = '\x01';
+    std::istringstream in(bad);
+    std::istream* shards[] = {&in};
+    EXPECT_FALSE(merge_jsonl(shards, error).has_value());
+    EXPECT_NE(error.find("raw control character"), std::string::npos)
+        << error;
+  }
   {  // Garbage input.
     std::istringstream in("not json\n");
     std::istream* shards[] = {&in};
@@ -314,6 +333,10 @@ struct Perturb {
     placement = placement == net::FailurePlacement::kFitInside
                     ? net::FailurePlacement::kTruncated
                     : net::FailurePlacement::kFitInside;
+  }
+  void operator()(ConsistencyMode& mode) const {
+    mode = mode == ConsistencyMode::kCm1 ? ConsistencyMode::kCm2
+                                         : ConsistencyMode::kCm1;
   }
   void operator()(WorkloadKind& kind) const {
     kind = kind == WorkloadKind::kStatic ? WorkloadKind::kChurn

@@ -171,23 +171,6 @@ TEST(Sweep, CheckSinkOraclesEveryRunAndStaysClean) {
   EXPECT_NE(report.str().find("12 runs checked"), std::string::npos);
 }
 
-TEST(Sweep, CustomizeHookAppliesAfterAblationSpec) {
-  SweepConfig config;
-  config.models = {SystemModel::kFrodoTwoParty};
-  config.lambdas = {0.0};
-  config.runs = 2;
-  config.ablation.frodo_pr3 = false;
-  bool spec_seen = false;
-  config.customize = [&spec_seen](ExperimentConfig& run) {
-    spec_seen = !run.frodo.enable_pr3;  // ablation already applied
-    run.frodo.enable_srn2 = false;
-  };
-  const auto result = run_sweep(config);
-  EXPECT_TRUE(spec_seen);
-  ASSERT_EQ(result.size(), 1u);
-  EXPECT_DOUBLE_EQ(result.points[0].metrics.effectiveness, 1.0);
-}
-
 TEST(Sweep, AblationSpecAppliesEveryKnob) {
   AblationSpec spec;
   spec.frodo_pr1 = false;
@@ -200,6 +183,10 @@ TEST(Sweep, AblationSpecAppliesEveryKnob) {
   spec.placement = net::FailurePlacement::kTruncated;
   spec.episodes = 3;
   spec.message_loss_rate = 0.25;
+  spec.frodo_srn1 = false;
+  spec.consistency = ConsistencyMode::kCm2;
+  spec.frodo_subscription_lease = sim::seconds(900);
+  spec.frodo_renew_fraction = 0.8;
   ExperimentConfig run;
   spec.apply(run);
   EXPECT_FALSE(run.frodo.enable_pr1);
@@ -212,6 +199,22 @@ TEST(Sweep, AblationSpecAppliesEveryKnob) {
   EXPECT_EQ(run.failure_placement, net::FailurePlacement::kTruncated);
   EXPECT_EQ(run.failure_episodes, 3);
   EXPECT_DOUBLE_EQ(run.message_loss_rate, 0.25);
+  EXPECT_EQ(run.frodo.srn1_retries, 0);
+  EXPECT_FALSE(run.upnp.enable_notification);
+  EXPECT_FALSE(run.jini.enable_notification);
+  EXPECT_FALSE(run.frodo.enable_notification);
+  EXPECT_EQ(run.upnp.poll_period, kCm2PollPeriod);
+  EXPECT_EQ(run.jini.poll_period, kCm2PollPeriod);
+  EXPECT_EQ(run.frodo.poll_period, kCm2PollPeriod);
+  EXPECT_EQ(run.frodo.subscription_lease, sim::seconds(900));
+  EXPECT_DOUBLE_EQ(run.frodo.renew_fraction, 0.8);
+
+  // CM1 + CM2 keeps notification on and polls as well.
+  spec.consistency = ConsistencyMode::kCm1Cm2;
+  ExperimentConfig both;
+  spec.apply(both);
+  EXPECT_TRUE(both.frodo.enable_notification);
+  EXPECT_EQ(both.frodo.poll_period, kCm2PollPeriod);
 }
 
 TEST(Sweep, ValidateCatchesBadConfigs) {
@@ -409,9 +412,9 @@ TEST(Sweep, MergeRefusesMixedMulticastScopes) {
     (void)run_sweep(config);
   }
   const std::string current = log.str();
-  const std::string v3 = "{\"sdcm_campaign\":3,";
-  ASSERT_EQ(current.rfind(v3, 0), 0u);
-  std::string old = "{\"sdcm_campaign\":1," + current.substr(v3.size());
+  const std::string v4 = "{\"sdcm_campaign\":4,";
+  ASSERT_EQ(current.rfind(v4, 0), 0u);
+  std::string old = "{\"sdcm_campaign\":1," + current.substr(v4.size());
   const auto shard_field = old.find(",\"shard_index\":");
   ASSERT_NE(shard_field, std::string::npos);
   old.insert(shard_field, ",\"multicast_scope\":\"scoped\"");

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "sdcm/discovery/observer.hpp"
 #include "sdcm/frodo/manager.hpp"
 #include "sdcm/frodo/registry_node.hpp"
@@ -49,6 +52,57 @@ struct AdaptiveFixture : ::testing::Test {
   }
 };
 
+/// Update-class bytes and mean change-to-consistency latency of the
+/// final version when five Users watch a service that changes `changes`
+/// times, `gap` apart, from 200 s on.
+struct Propagation {
+  std::uint64_t bytes = 0;
+  double latency_s = 0.0;
+};
+
+Propagation propagate(UpdatePropagation mode, sim::SimDuration gap,
+                      int changes, sim::SimTime until) {
+  sim::Simulator s(77);
+  net::Network n(s);
+  discovery::ConsistencyObserver obs;
+  FrodoConfig config;
+  config.propagation = mode;
+  config.invalidation_fetch_delay = seconds(120);
+  FrodoRegistryNode reg(s, n, 1, 100, config);
+  FrodoManager mgr(s, n, 10, DeviceClass::k300D, config, &obs);
+  mgr.add_service(printer_sd());
+  std::vector<std::unique_ptr<FrodoUser>> users;
+  for (int i = 0; i < 5; ++i) {
+    users.push_back(std::make_unique<FrodoUser>(
+        s, n, static_cast<NodeId>(11 + i), DeviceClass::k300D,
+        Matching{"Printer", "ColorPrinter"}, config, &obs));
+  }
+  reg.start();
+  mgr.start();
+  for (auto& u : users) u->start();
+  s.run_until(seconds(100));
+  const auto before = n.counters().bytes_of_class(net::MessageClass::kUpdate);
+  for (int c = 0; c < changes; ++c) {
+    s.schedule_at(seconds(200) + c * gap, [&] { mgr.change_service(1); });
+  }
+  s.run_until(until);
+  Propagation out;
+  out.bytes = n.counters().bytes_of_class(net::MessageClass::kUpdate) - before;
+  const auto final_version =
+      static_cast<discovery::ServiceVersion>(1 + changes);
+  const auto changed = obs.change_time(final_version);
+  EXPECT_TRUE(changed.has_value());
+  for (auto& u : users) {
+    EXPECT_EQ(u->cached()->version, final_version);
+    const auto reached = obs.reach_time(u->id(), final_version);
+    if (reached && changed) {
+      out.latency_s += sim::to_seconds(*reached - *changed);
+    }
+  }
+  out.latency_s /= static_cast<double>(users.size());
+  return out;
+}
+
 TEST_F(AdaptiveFixture, InvalidationModeDelaysByTheFetchWindow) {
   FrodoConfig config;
   config.propagation = UpdatePropagation::kInvalidation;
@@ -65,6 +119,16 @@ TEST_F(AdaptiveFixture, InvalidationModeDelaysByTheFetchWindow) {
   // Consistency only after the deferred fetch (~120 s after the change).
   EXPECT_GT(*reached - *observer.change_time(2), seconds(119));
   EXPECT_LT(*reached - *observer.change_time(2), seconds(125));
+
+  // On a rarely changing service the delay is invalidation's alone: data
+  // push and the adaptive mode (data once the service has settled) skip
+  // the fetch.
+  const auto cold = [](UpdatePropagation mode) {
+    return propagate(mode, seconds(1800), 3, seconds(6600)).latency_s;
+  };
+  const double invalidation_s = cold(UpdatePropagation::kInvalidation);
+  EXPECT_LT(cold(UpdatePropagation::kData), invalidation_s);
+  EXPECT_LT(cold(UpdatePropagation::kAdaptive), invalidation_s);
 }
 
 TEST_F(AdaptiveFixture, InvalidationStubNeverCorruptsTheCache) {
@@ -137,40 +201,15 @@ TEST_F(AdaptiveFixture, AdaptiveSwitchesToInvalidationWhenHot) {
 
 TEST_F(AdaptiveFixture, InvalidationSavesBytesOnHotServices) {
   // The efficiency claim: under a burst of changes, invalidation moves
-  // fewer update-class bytes than pushing the full description each time.
-  const auto bytes_for = [&](UpdatePropagation mode) {
-    sim::Simulator s(77);
-    net::Network n(s);
-    discovery::ConsistencyObserver obs;
-    FrodoConfig config;
-    config.propagation = mode;
-    config.invalidation_fetch_delay = seconds(120);
-    FrodoRegistryNode reg(s, n, 1, 100, config);
-    FrodoManager mgr(s, n, 10, DeviceClass::k300D, config, &obs);
-    mgr.add_service(printer_sd());
-    std::vector<std::unique_ptr<FrodoUser>> users;
-    for (int i = 0; i < 5; ++i) {
-      users.push_back(std::make_unique<FrodoUser>(
-          s, n, static_cast<NodeId>(11 + i), DeviceClass::k300D,
-          Matching{"Printer", "ColorPrinter"}, config, &obs));
-    }
-    reg.start();
-    mgr.start();
-    for (auto& u : users) u->start();
-    s.run_until(seconds(100));
-    const auto before = n.counters().bytes_of_class(net::MessageClass::kUpdate);
-    for (int c = 0; c < 10; ++c) {
-      s.schedule_at(seconds(200 + 20 * c), [&] { mgr.change_service(1); });
-    }
-    s.run_until(seconds(2000));
-    for (auto& u : users) {
-      EXPECT_EQ(u->cached()->version, 11u);
-    }
-    return n.counters().bytes_of_class(net::MessageClass::kUpdate) - before;
+  // fewer update-class bytes than pushing the full description each
+  // time, and the adaptive mode, invalidating while the service is hot,
+  // keeps that saving.
+  const auto hot = [](UpdatePropagation mode) {
+    return propagate(mode, seconds(20), 10, seconds(2000)).bytes;
   };
-  const auto data_bytes = bytes_for(UpdatePropagation::kData);
-  const auto invalidation_bytes = bytes_for(UpdatePropagation::kInvalidation);
-  EXPECT_LT(invalidation_bytes, data_bytes);
+  const auto data_bytes = hot(UpdatePropagation::kData);
+  EXPECT_LT(hot(UpdatePropagation::kInvalidation), data_bytes);
+  EXPECT_LT(hot(UpdatePropagation::kAdaptive), data_bytes);
 }
 
 }  // namespace

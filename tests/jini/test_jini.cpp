@@ -145,13 +145,13 @@ TEST_F(JiniFixture, LeasesAreRenewedAcrossTheRun) {
 }
 
 TEST_F(JiniFixture, RegistryTechniquesMatchTable2) {
-  const auto t = JiniRegistry::techniques();
-  EXPECT_TRUE(t.contains(discovery::RecoveryTechnique::kPR1));
-  EXPECT_TRUE(t.contains(discovery::RecoveryTechnique::kPR2));
-  EXPECT_TRUE(t.contains(discovery::RecoveryTechnique::kPR3));
-  EXPECT_FALSE(t.contains(discovery::RecoveryTechnique::kPR4));
-  EXPECT_FALSE(t.contains(discovery::RecoveryTechnique::kPR5));
-  EXPECT_FALSE(t.contains(discovery::RecoveryTechnique::kSRN2));
+  using discovery::RecoveryTechnique;
+  // Exactly Table 2's row: SRN1 SRC1 SRC2 PR1 PR2 PR3, nothing else.
+  EXPECT_EQ(JiniRegistry::techniques(),
+            (discovery::TechniqueSet{
+                RecoveryTechnique::kSRN1, RecoveryTechnique::kSRC1,
+                RecoveryTechnique::kSRC2, RecoveryTechnique::kPR1,
+                RecoveryTechnique::kPR2, RecoveryTechnique::kPR3}));
 }
 
 TEST_F(JiniFixture, UserIgnoresNonMatchingServices) {

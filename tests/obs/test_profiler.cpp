@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -112,6 +113,22 @@ TEST(Profiler, MemoryWatermarksAreSampledAtPhaseEnds) {
   const RunProfile profile = profiler.snapshot();
   ASSERT_EQ(profile.phases.size(), 1u);
   EXPECT_GE(profile.phases[0].peak_rss_kb, sample.peak_rss_kb);
+}
+
+TEST(Profiler, HeapBytesCountMmappedChunks) {
+#if SDCM_HEAP_BYTES_MEASURED
+  // 64 MiB is past glibc's largest mmap threshold (32 MiB), so the
+  // block is an mmapped chunk; it is never touched.
+  constexpr std::uint64_t kBlock = std::uint64_t{64} << 20;
+  const std::uint64_t before = sample_memory().heap_bytes;
+  void* volatile block = std::malloc(kBlock);
+  ASSERT_NE(block, nullptr);
+  const std::uint64_t during = sample_memory().heap_bytes;
+  std::free(block);
+  EXPECT_GE(during, before + kBlock);
+#else
+  EXPECT_EQ(sample_memory().heap_bytes, 0u);
+#endif
 }
 
 TEST(Profiler, BucketBoundsAreStrictlyIncreasing) {

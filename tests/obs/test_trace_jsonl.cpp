@@ -23,9 +23,11 @@ TraceLog make_log() {
   SpanScope scope(log, root);
   log.record(sim::seconds(188) + 37, 1, TraceCategory::kUpdate,
              "frodo.update.stored", "service=1 version=2");
-  // Exercise the only two escaped characters of the JSON discipline.
+  // Exercise the two backslash escapes of the JSON discipline.
   log.record(sim::seconds(189), 11, TraceCategory::kInfo, "odd",
              "quote=\" backslash=\\ done");
+  // Control characters are written as \u00XX, so the line stays one line.
+  log.record(sim::seconds(190), 11, TraceCategory::kInfo, "odd", "a\nb\tc");
   log.record_child(sim::kNoSpan, sim::seconds(200), 2,
                    TraceCategory::kFailure, "iface.down", "mode=tx+rx");
   return log;
@@ -78,6 +80,13 @@ TEST(TraceJsonl, ParseRejectsMalformedLines) {
       parse_trace_record(
           "{\"node\":1,\"at\":1,\"category\":\"info\",\"span\":1,"
           "\"parent\":0,\"event\":\"e\",\"detail\":\"\"}",
+          error)
+          .has_value());
+  // A raw control character inside a string is not JSON.
+  EXPECT_FALSE(
+      parse_trace_record(
+          "{\"at\":1,\"node\":1,\"category\":\"info\",\"span\":1,"
+          "\"parent\":0,\"event\":\"e\",\"detail\":\"a\tb\"}",
           error)
           .has_value());
   // Trailing garbage after the closing brace.

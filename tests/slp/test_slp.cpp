@@ -6,6 +6,7 @@
 
 #include <array>
 #include <memory>
+#include <vector>
 
 #include "sdcm/net/failure_model.hpp"
 #include "sdcm/slp/slp.hpp"
@@ -84,6 +85,45 @@ TEST_F(SlpFixture, UpdatePropagatesOnlyThroughPolling) {
   EXPECT_GT(*reached - *observer.change_time(2), seconds(50));
 }
 
+/// Users of five UAs that reach the changed description when the DA is
+/// dead from 150 s to the end of a 5400 s run and the change falls in
+/// [2600 s, 2700 s].
+int failover_reached(std::uint64_t seed) {
+  sim::Simulator simulator(seed);
+  simulator.trace().set_recording(false);
+  net::Network network(simulator);
+  discovery::ConsistencyObserver observer;
+  const SlpConfig config{};
+  DirectoryAgent da(simulator, network, 1, config);
+  ServiceAgent sa(simulator, network, 10, config, &observer);
+  sa.add_service(printer_sd());
+  std::vector<std::unique_ptr<UserAgent>> uas;
+  for (int i = 0; i < 5; ++i) {
+    uas.push_back(std::make_unique<UserAgent>(
+        simulator, network, static_cast<sim::NodeId>(11 + i), "ColorPrinter",
+        config, &observer));
+  }
+  da.start();
+  sa.start();
+  for (auto& ua : uas) ua->start();
+  net::FailureEpisode ep;
+  ep.node = 1;
+  ep.mode = net::FailureMode::kBoth;
+  ep.start = seconds(150);
+  ep.duration = seconds(5250);
+  net::apply_failures(simulator, network, std::array{ep});
+  auto change_rng = simulator.rng().fork("experiment.change");
+  const auto change_at =
+      change_rng.uniform_time(seconds(2600), seconds(2700));
+  simulator.schedule_at(change_at, [&sa] { sa.change_service(1); });
+  simulator.run_until(seconds(5400));
+  int reached = 0;
+  for (const auto& ua : uas) {
+    reached += observer.reach_time(ua->id(), 2).has_value() ? 1 : 0;
+  }
+  return reached;
+}
+
 TEST_F(SlpFixture, HybridFailoverToMulticastWhenDaDies) {
   // The Section 1 resilience argument: the Registry fails, the system
   // degrades to peer-to-peer instead of breaking.
@@ -105,6 +145,11 @@ TEST_F(SlpFixture, HybridFailoverToMulticastWhenDaDies) {
   // ...and the UA's polls, now multicast, reach the SA directly: the
   // update arrives despite the dead Registry.
   EXPECT_EQ(ua->cached()->version, 2u);
+
+  // Every User of every seed recovers the same way.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    EXPECT_EQ(failover_reached(seed), 5) << "seed " << seed;
+  }
 }
 
 TEST_F(SlpFixture, DaRegistrationExpiresWithoutRenewal) {
